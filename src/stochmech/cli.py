@@ -27,6 +27,12 @@ from .errors import ConfigError, StochmechError
 from .momentum import POLICIES
 from .scenarios import SCENARIO_KINDS, Scenario
 
+# Paths simulated per kernel call of --dump-paths; bounds the stored
+# (steps + 1) x batch position arrays.
+DUMP_BATCH = 8
+# Largest --dump-paths output accepted, in table rows (about 78 bytes each).
+DUMP_ROW_LIMIT = 20_000_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -83,9 +89,12 @@ class ScenarioConfig:
         if self.state_file is not None and not os.path.exists(self.state_file):
             raise ConfigError(f"state_file: {self.state_file!r} does not exist")
         try:
-            self.sim_params()
+            params = self.sim_params()
         except ValueError as err:
             raise ConfigError(f"horizon/dt: {err}") from err
+        if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
+            raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
+                              f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
         return self
 
     def sim_params(self) -> sde.SimParams:
@@ -98,7 +107,12 @@ class ScenarioConfig:
                         state_file=self.state_file)
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        if self.workers is not None:
+            return self.workers
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:          # no affinity mask on this platform
+            return os.cpu_count() or 1
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -148,22 +162,27 @@ def _write_manifest(run_dir: str, config: ScenarioConfig) -> None:
 
 
 def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
+    """One t/x/x_F/dW table per path, simulated DUMP_BATCH paths at a time on
+    the ensemble kernel; dW is the path's own increment stream, padded with a
+    trailing 0 to the row count."""
     scenario = config.scenario_obj()
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
     params = config.sim_params()
+    times = params.times()
     dump_dir = tableio.ensure_dir(os.path.join(run_dir, "paths"))
-    for index in range(config.paths):
-        p = params.with_path_index(index)
-        x0 = sde.draw_initial(p, sampler)
-        path = sde.integrate(interacting, x0, p)
-        pair = sde.co_integrate((interacting, free), path)
-        tableio.write_table(os.path.join(dump_dir, f"path_{index:05d}.tsv"), {
-            "t": path.times,
-            "x": path.positions,
-            "x_F": pair.free_positions,
-            "dW": np.concatenate([path.increments, [0.0]]),
-        })
+    for start in range(0, config.paths, DUMP_BATCH):
+        batch = sde.simulate_coupled_ensemble(
+            interacting, free, sampler, params,
+            range(start, min(start + DUMP_BATCH, config.paths)), store_paths=True)
+        for j, index in enumerate(batch.path_indices):
+            dw = sde.wiener_increments(params.with_path_index(int(index)))
+            tableio.write_table(os.path.join(dump_dir, f"path_{index:05d}.tsv"), {
+                "t": times,
+                "x": batch.positions[:, j],
+                "x_F": batch.free_positions[:, j],
+                "dW": np.append(dw, 0.0),
+            })
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -242,8 +261,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
     else:
         sys.stdout.write("p\trho\n")
-        for p, rho in zip(density.p, density.density):
-            sys.stdout.write(f"{tableio.format_float(p)}\t{tableio.format_float(rho)}\n")
+        sys.stdout.writelines(tableio.format_rows([density.p, density.density]))
     return 0
 
 

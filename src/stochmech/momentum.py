@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sde
+from .errors import StochmechError
 from .scenarios import Scenario
 
 RATIO_CHECKPOINTS = (1.0,)
@@ -89,13 +90,18 @@ def estimate_momentum(pair: sde.CoupledPair, policy: str = "ratio") -> MomentumS
                           horizon_used=params.horizon, estimator=policy)
 
 
-class PathSimulationError(RuntimeError):
+class PathSimulationError(StochmechError):
     """A path chunk failed; carries the covered path indices."""
 
     def __init__(self, path_indices, cause):
         first, last = int(path_indices[0]), int(path_indices[-1])
         super().__init__(f"simulation failed in paths {first}..{last}: {cause}")
         self.path_indices = (first, last)
+        self.cause = str(cause)
+
+    def __reduce__(self):
+        # rebuilt from picklable fields when a pool worker raises it
+        return type(self), (self.path_indices, self.cause)
 
 
 def _run_chunk(scenario: Scenario, params: sde.SimParams, indices: np.ndarray,

@@ -9,12 +9,33 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Iterator
 
 import numpy as np
 
 
-def format_float(value) -> str:
-    return "%.17g" % float(value)
+WRITE_CHUNK_ROWS = 1024
+
+
+def format_rows(columns) -> Iterator[str]:
+    """Yield the rows of equal-length 1-d columns as tab-separated text.
+
+    Integer columns are written with ``%d`` and every other column with
+    ``%.17g``, so a float re-read with ``float`` is exact.  Rows are formatted
+    ``WRITE_CHUNK_ROWS`` at a time: each chunk converts its slice of every
+    column with ``tolist`` and feeds one ``%`` operation.
+    """
+    arrays = [np.asarray(col) for col in columns]
+    row_fmt = "\t".join("%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"
+                        for arr in arrays) + "\n"
+    width = len(arrays)
+    for start in range(0, len(arrays[0]), WRITE_CHUNK_ROWS):
+        parts = [arr[start:start + WRITE_CHUNK_ROWS].tolist() for arr in arrays]
+        rows = len(parts[0])
+        flat = [None] * (rows * width)
+        for j, part in enumerate(parts):
+            flat[j::width] = part
+        yield (row_fmt * rows) % tuple(flat)
 
 
 def write_table(path, columns: dict) -> None:
@@ -27,15 +48,7 @@ def write_table(path, columns: dict) -> None:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {n}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(names) + "\n")
-        for i in range(n):
-            fields = []
-            for arr in arrays:
-                v = arr[i]
-                if np.issubdtype(arr.dtype, np.integer):
-                    fields.append(str(int(v)))
-                else:
-                    fields.append(format_float(v))
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines(format_rows(arrays))
 
 
 def read_table(path) -> dict:

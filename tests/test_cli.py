@@ -65,6 +65,28 @@ def test_invalid_paths_leaves_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_oversized_dump_is_refused_before_any_artifact(tmp_path, capsys):
+    # the default scale would dump 10^4 x 50,001 rows
+    out = tmp_path / "runs"
+    code = run_main("run", "--dump-paths", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert "dump_paths:" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="dump_paths"):
+        cli.ScenarioConfig(paths=400, dump_paths=True).validate()
+    cli.ScenarioConfig(paths=399, dump_paths=True).validate()   # 19,950,399 rows
+    cli.ScenarioConfig(paths=400).validate()                     # no dump, no limit
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli.ScenarioConfig().effective_workers() == 3
+    assert cli.ScenarioConfig(workers=7).effective_workers() == 7
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.ScenarioConfig().effective_workers() == 64
+
+
 # ---------------------------------------------------------------------------
 # run artifacts
 # ---------------------------------------------------------------------------
@@ -116,17 +138,38 @@ def test_dumped_path_satisfies_recursion(small_run):
 
 def test_reruns_are_byte_identical(tmp_path):
     # every data artifact (manifest carries a timestamp) is byte-stable
-    # across re-runs and worker counts
+    # across re-runs and worker counts; 30 dumped paths span several
+    # kernel batches of the dump
     artifacts = ("ensemble.tsv", "density.tsv", "histogram.tsv", "summary.json")
     outs = []
     for sub, workers in (("a", "1"), ("b", "1"), ("c", "2")):
         out = tmp_path / sub
         code = run_main("run", "--paths", "30", "--horizon", "1.0", "--seed", "11",
-                        "--out", str(out), "--workers", workers)
+                        "--out", str(out), "--workers", workers, "--dump-paths")
         assert code == 0
         (run_dir,) = out.iterdir()
-        outs.append(tuple((run_dir / name).read_bytes() for name in artifacts))
+        dumps = sorted((run_dir / "paths").iterdir())
+        assert len(dumps) == 30 > cli.DUMP_BATCH
+        outs.append(tuple((run_dir / name).read_bytes() for name in artifacts)
+                    + tuple((p.name, p.read_bytes()) for p in dumps))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_dumped_paths_match_single_path_integration(small_run):
+    # the batched dump reproduces the single-path integrators bit for bit
+    from stochmech import sde
+    config = cli.ScenarioConfig(paths=40, horizon=2.0, seed=5)
+    interacting, free = config.scenario_obj().drift_fields()
+    sampler = config.scenario_obj().initial_sampler()
+    for index in (0, 7, 8, 39):
+        params = config.sim_params().with_path_index(index)
+        path = sde.integrate(interacting, sde.draw_initial(params, sampler), params)
+        pair = sde.co_integrate((interacting, free), path)
+        cols = tableio.read_table(small_run / "paths" / f"path_{index:05d}.tsv")
+        assert np.array_equal(cols["t"], path.times)
+        assert np.array_equal(cols["x"], path.positions)
+        assert np.array_equal(cols["x_F"], pair.free_positions)
+        assert np.array_equal(cols["dW"], np.append(path.increments, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +240,28 @@ def test_verify_cli_small(capsys):
 # ---------------------------------------------------------------------------
 # grid-custom via state file (exercises the tabular state interface)
 # ---------------------------------------------------------------------------
+
+def test_grid_custom_failure_is_reported_without_traceback(tmp_path, capsys):
+    # the default grid's free drift meets a node near t = 2.47
+    code = run_main("run", "--scenario", "grid-custom", "--horizon", "3",
+                    "--paths", "4", "--workers", "1", "--out", str(tmp_path / "runs"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation failed in paths 0..3: ")
+    assert "Traceback" not in err
+
+
+def test_path_simulation_error_survives_pickling():
+    # pool workers hand failures back to the parent by pickling them
+    import pickle
+    from stochmech.errors import StochmechError
+    from stochmech.momentum import PathSimulationError
+    err = PathSimulationError([4, 5, 6], ValueError("node"))
+    back = pickle.loads(pickle.dumps(err))
+    assert isinstance(back, StochmechError)
+    assert back.path_indices == (4, 6)
+    assert str(back) == str(err) == "simulation failed in paths 4..6: node"
+
 
 def test_grid_custom_run_from_state_file(tmp_path):
     from stochmech import wavefunction as wf

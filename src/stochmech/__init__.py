@@ -9,7 +9,6 @@ from .errors import (
     NodeEncountered,
     StochmechError,
     TooFewSamples,
-    UnsupportedPotential,
 )
 from .wavefunction import (
     DriftField,
@@ -19,7 +18,6 @@ from .wavefunction import (
     drift,
     free_gaussian_state,
     harmonic_ground_state,
-    make_potential_state,
     momentum_density,
     propagate_free,
 )
@@ -36,7 +34,6 @@ from .oscillator import OscillatorScenario
 from .scenarios import Scenario
 from .momentum import (
     MomentumEnsemble,
-    MomentumSample,
     PathSimulationError,
     collect,
     estimate_momentum,
@@ -44,13 +41,13 @@ from .momentum import (
 
 __all__ = [
     "ConfigError", "GridTooNarrowWarning", "NoConvergence", "NodeEncountered",
-    "StochmechError", "TooFewSamples", "UnsupportedPotential",
+    "StochmechError", "TooFewSamples",
     "DriftField", "MomentumDensity", "WaveState", "decompose", "drift",
-    "free_gaussian_state", "harmonic_ground_state", "make_potential_state",
+    "free_gaussian_state", "harmonic_ground_state",
     "momentum_density", "propagate_free",
     "CoupledPair", "SamplePath", "SimParams", "co_integrate", "integrate",
     "picard_solve", "wiener_increments",
     "OscillatorScenario", "Scenario",
-    "MomentumEnsemble", "MomentumSample", "PathSimulationError", "collect",
+    "MomentumEnsemble", "PathSimulationError", "collect",
     "estimate_momentum",
 ]

@@ -9,10 +9,6 @@ class NodeEncountered(StochmechError):
     """The wave amplitude fell below the node threshold inside the evaluation region."""
 
 
-class UnsupportedPotential(StochmechError):
-    """Requested potential/state combination is outside the supported set."""
-
-
 class NoConvergence(StochmechError):
     """Fixed-point iteration did not reach the requested tolerance."""
 

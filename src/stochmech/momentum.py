@@ -28,14 +28,6 @@ POLICIES = ("ratio", "extrapolated")
 DEFAULT_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class MomentumSample:
-    path_index: int
-    value: float
-    horizon_used: float
-    estimator: str
-
-
 @dataclass
 class MomentumEnsemble:
     """Momentum samples with their provenance and engine diagnostics."""
@@ -46,11 +38,6 @@ class MomentumEnsemble:
     estimator: str
     provenance: dict
     extras: dict = field(default_factory=dict)
-
-    def samples(self):
-        return [MomentumSample(path_index=int(i), value=float(v),
-                               horizon_used=self.horizon_used, estimator=self.estimator)
-                for i, v in zip(self.path_indices, self.values)]
 
     def __len__(self):
         return len(self.values)
@@ -78,16 +65,14 @@ def _reduce_checkpoints(xf_cp: np.ndarray, cp_idx: np.ndarray, dt: float,
     return a
 
 
-def estimate_momentum(pair: sde.CoupledPair, policy: str = "ratio") -> MomentumSample:
+def estimate_momentum(pair: sde.CoupledPair, policy: str = "ratio") -> float:
     """Momentum of one coupled pair under the chosen truncation policy."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     params = pair.base.params
     cp_idx = _checkpoint_indices(params.steps, policy)
     xf_cp = pair.free_positions[cp_idx][:, None]
-    value = float(_reduce_checkpoints(xf_cp, cp_idx, params.dt, policy)[0])
-    return MomentumSample(path_index=params.path_index, value=value,
-                          horizon_used=params.horizon, estimator=policy)
+    return float(_reduce_checkpoints(xf_cp, cp_idx, params.dt, policy)[0])
 
 
 class PathSimulationError(StochmechError):

@@ -45,16 +45,6 @@ def gamma_rate(t, scen: OscillatorScenario):
     return (2.0 * scen.nu - tau) / (1.0 + tau * tau)
 
 
-def ground_drift(x, scen: OscillatorScenario):
-    """Interacting drift of the ground state: -2 nu x."""
-    return -2.0 * scen.nu * np.asarray(x, dtype=float)
-
-
-def free_drift(x, t, scen: OscillatorScenario):
-    """Free drift of the spreading Gaussian: -x (2 nu - tau) / (1 + tau^2)."""
-    return -np.asarray(x, dtype=float) * gamma_rate(t, scen)
-
-
 def ou_covariance(t1, t2, scen: OscillatorScenario):
     """Stationary position covariance (1/2) exp(-2 nu |t1 - t2|)."""
     return 0.5 * np.exp(-2.0 * scen.nu * np.abs(np.asarray(t1, float) - np.asarray(t2, float)))
@@ -70,68 +60,31 @@ def momentum_quadrature_weights(times: np.ndarray, scen: OscillatorScenario) -> 
     return math.exp(-scen.nu * math.pi) * momentum_weight(times, scen)
 
 
-def coupled_path_closed_form(base, scen: OscillatorScenario,
+def coupled_path_closed_form(times, positions, scen: OscillatorScenario,
                              gamma_fn=None) -> np.ndarray:
-    """Evaluate the integrating-factor solution for x_F on the base path mesh.
+    """Evaluate the integrating-factor solution for x_F on a path mesh.
 
     The dx integral is the pathwise left-endpoint Riemann-Stieltjes sum (the
     integrand is deterministic in t, so there is no Ito/Stratonovich
-    ambiguity); the dt integral uses the trapezoid rule.  Accepts a
-    SamplePath or any object with ``times`` and ``positions``; ``positions``
-    may be a (steps+1, n_paths) matrix.  ``gamma_fn`` overrides the exponent
-    (a negative-control hook for the verification suite).
+    ambiguity); the dt integral uses the trapezoid rule.  ``positions`` is
+    one path of len(times) values or a (len(times), n_paths) matrix.
+    ``gamma_fn`` overrides the exponent (a negative-control hook for the
+    verification suite).
     """
-    times = np.asarray(base.times, dtype=float)
-    x = np.asarray(base.positions, dtype=float)
+    times = np.asarray(times, dtype=float)
+    x = np.asarray(positions, dtype=float)
     g = (gamma_fn or gamma)(times, scen)
     eg = np.exp(g)
+    dts = np.diff(times)
     if x.ndim == 2:
-        g = g[:, None]
-        eg = eg[:, None]
+        g, eg, dts = g[:, None], eg[:, None], dts[:, None]
     dx = np.diff(x, axis=0)
     rs = np.zeros_like(x)
     np.cumsum(eg[:-1] * dx, axis=0, out=rs[1:])
     integrand = eg * x
-    dts = np.diff(times)
-    if x.ndim == 2:
-        dts = dts[:, None]
     tz = np.zeros_like(x)
     np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dts, axis=0, out=tz[1:])
     return np.exp(-g) * (x[0] + rs + 2.0 * scen.nu * tz)
-
-
-def momentum_integral(base, scen: OscillatorScenario) -> float:
-    """Trapezoid quadrature of the truncated momentum integral on a path."""
-    times = np.asarray(base.times, dtype=float)
-    f = momentum_quadrature_weights(times, scen) * np.asarray(base.positions, dtype=float)
-    return float(np.trapezoid(f, times))
-
-
-def momentum_tail_std(horizon: float, scen: OscillatorScenario) -> float:
-    """RMS size of the neglected tail beyond t0 + horizon.
-
-    For large tau the weight behaves as 2 nu e^{nu pi} / tau; integrating its
-    square against the stationary covariance (kernel mass 1 / (2 nu)) gives a
-    tail variance of about 2 nu / horizon, i.e. an RMS of sqrt(2 nu / T).
-    """
-    return math.sqrt(2.0 * scen.nu / horizon)
-
-
-def momentum_integral_report(base, scen: OscillatorScenario):
-    """Momentum quadrature plus an empirical tail estimate.
-
-    The tail RMS is estimated from the last decade of the mesh: the scale
-    A = mean |w(t) (t - t0)| e^{-nu pi} there (analytically A -> 2 nu) enters
-    the asymptotic tail formula A / sqrt(2 nu T).
-    """
-    value = momentum_integral(base, scen)
-    times = np.asarray(base.times, dtype=float)
-    horizon = float(times[-1] - scen.t0)
-    sel = times - scen.t0 >= horizon / 10.0
-    a_emp = float(np.mean(np.abs(
-        momentum_quadrature_weights(times[sel], scen) * (times[sel] - scen.t0))))
-    tail_std = a_emp / math.sqrt(2.0 * scen.nu * horizon)
-    return value, tail_std
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ STREAM_INITIAL = 1
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
+# Steps of noise drawn per path and transposed at once by the ensemble kernel.
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -117,30 +120,44 @@ class CoupledPair:
         return self.base.times
 
 
+def _euler(drift: DriftField, x, times, dt: float, dw, ood):
+    """The one Euler-Maruyama recursion x <- x + b(x, t_k) dt + dw[k].
+
+    Yields each new position, for a scalar or a per-path array ``x``; stops
+    at the shorter of ``times`` and ``dw``.  Positions outside a grid-backed
+    drift's tabulated domain are added into ``ood`` in place, not fatal (the
+    evaluator extrapolates linearly).
+    """
+    ev = drift.evaluator
+    domain = drift.domain
+    for t, row in zip(times, dw):
+        if domain is not None:
+            ood += (x < domain[0]) | (x > domain[1])
+        x = x + ev(x, t) * dt + row
+        yield x
+
+
+def _path(drift: DriftField, x0, times, dt: float, dw: np.ndarray):
+    """All len(dw) + 1 rows of one Euler run from ``x0``, with its
+    out-of-domain count (per path when ``dw`` has one column per path)."""
+    out = np.empty((len(dw) + 1,) + dw.shape[1:])
+    out[0] = x0
+    ood = np.zeros(dw.shape[1:], dtype=int)
+    for k, x in enumerate(_euler(drift, out[0], times, dt, dw, ood), start=1):
+        out[k] = x
+    return out, ood
+
+
 def integrate(drift: DriftField, x0: float, params: SimParams,
               increments: Optional[np.ndarray] = None) -> SamplePath:
-    """Euler-Maruyama integration of dx = b dt + dW for a single path.
-
-    Excursions outside a grid-backed drift's tabulated domain are counted,
-    not fatal (the evaluator extrapolates linearly).
-    """
-    times = params.times()
-    dt = params.dt
+    """Euler-Maruyama integration of dx = b dt + dW for a single path."""
     dw = wiener_increments(params) if increments is None else np.asarray(increments)
     if len(dw) != params.steps:
         raise ValueError("increments length does not match params.steps")
-    ev = drift.evaluator
-    x = np.empty(params.steps + 1)
-    x[0] = x0
-    ood = 0
-    domain = drift.domain
-    for k in range(params.steps):
-        xk = x[k]
-        if domain is not None and not (domain[0] <= xk <= domain[1]):
-            ood += 1
-        x[k + 1] = xk + ev(xk, times[k]) * dt + dw[k]
+    times = params.times()
+    x, ood = _path(drift, x0, times, params.dt, dw)
     return SamplePath(times=times, positions=x, increments=dw, params=params,
-                      ood_count=ood)
+                      ood_count=int(ood))
 
 
 def co_integrate(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath) -> CoupledPair:
@@ -152,21 +169,9 @@ def co_integrate(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath) -
     with identical drifts it reproduces the base path bit for bit.  The
     interacting field is accepted for interface symmetry.
     """
-    _, free = pair_drifts
-    times = base.times
-    dt = base.params.dt
-    dw = base.increments
-    ev = free.evaluator
-    xf = np.empty_like(base.positions)
-    xf[0] = base.positions[0]
-    ood = 0
-    domain = free.domain
-    for k in range(len(dw)):
-        xk = xf[k]
-        if domain is not None and not (domain[0] <= xk <= domain[1]):
-            ood += 1
-        xf[k + 1] = xk + ev(xk, times[k]) * dt + dw[k]
-    return CoupledPair(base=base, free_positions=xf, ood_count_free=ood)
+    xf, ood = _path(pair_drifts[1], base.positions[0], base.times, base.params.dt,
+                    base.increments)
+    return CoupledPair(base=base, free_positions=xf, ood_count_free=int(ood))
 
 
 def _evaluate_along(drift: DriftField, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -230,25 +235,6 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
     raise NoConvergence(max_iter, history[-1] if history else float("nan"))
 
 
-def estimate_lipschitz(drift: DriftField, x_range: Tuple[float, float],
-                       t_range: Tuple[float, float], n: int = 4096,
-                       seed: int = 0) -> float:
-    """Empirical Lipschitz constant in x: max |b(x1,t) - b(x2,t)| / |x1 - x2|
-    over sampled pairs.  A diagnostic stand-in for the global bound the
-    contraction argument assumes."""
-    rng = np.random.default_rng(seed)
-    x1 = rng.uniform(x_range[0], x_range[1], n)
-    x2 = rng.uniform(x_range[0], x_range[1], n)
-    keep = np.abs(x1 - x2) > 1e-9
-    x1, x2 = x1[keep], x2[keep]
-    ts = rng.uniform(t_range[0], t_range[1], len(x1))
-    best = 0.0
-    for a, b, t in zip(x1, x2, ts):
-        num = abs(float(drift.evaluator(a, t)) - float(drift.evaluator(b, t)))
-        best = max(best, num / abs(a - b))
-    return best
-
-
 def integrate_batch(drift: DriftField, x0: np.ndarray, params: SimParams,
                     increments: np.ndarray) -> np.ndarray:
     """Euler-Maruyama for many paths at once on caller-supplied increments.
@@ -257,31 +243,15 @@ def integrate_batch(drift: DriftField, x0: np.ndarray, params: SimParams,
     Columns are bit-identical to single-path :func:`integrate` runs on the
     same increment columns.
     """
-    times = params.times()
-    dt = params.dt
-    ev = drift.evaluator
-    steps, n = increments.shape
-    if steps != params.steps:
+    if increments.shape[0] != params.steps:
         raise ValueError("increments rows must equal params.steps")
-    x = np.empty((steps + 1, n))
-    x[0] = x0
-    for k in range(steps):
-        x[k + 1] = x[k] + ev(x[k], times[k]) * dt + increments[k]
-    return x
+    return _path(drift, x0, params.times(), params.dt, increments)[0]
 
 
 def co_integrate_batch(free: DriftField, base_positions: np.ndarray,
                        params: SimParams, increments: np.ndarray) -> np.ndarray:
     """Free-side co-integration for a batch of base paths (shared increments)."""
-    times = params.times()
-    dt = params.dt
-    ev = free.evaluator
-    steps = increments.shape[0]
-    xf = np.empty_like(base_positions)
-    xf[0] = base_positions[0]
-    for k in range(steps):
-        xf[k + 1] = xf[k] + ev(xf[k], times[k]) * dt + increments[k]
-    return xf
+    return _path(free, base_positions[0], params.times(), params.dt, increments)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +287,14 @@ def simulate_coupled_ensemble(
     record_indices: Sequence[int] = (),
     time_weights: Optional[np.ndarray] = None,
     store_paths: bool = False,
-    block: int = 4096,
 ) -> EnsembleChunk:
     """Simulate coupled pairs for many paths at once.
 
     Per-path streams make the result independent of batching; elementwise
     updates make each column bit-identical to the single-path integrators.
     ``time_weights`` (length steps+1) switches on a running trapezoid
-    accumulator of sum w(t) x(t) dt along the interacting path.
+    accumulator of sum w(t) x(t) dt along the interacting path.  Noise is
+    drawn in blocks of ``BLOCK`` steps per path.
     """
     idx = np.asarray(list(path_indices), dtype=int)
     n = len(idx)
@@ -332,18 +302,17 @@ def simulate_coupled_ensemble(
     dt = params.dt
     times = params.times()
     scale = np.sqrt(2.0 * params.nu * params.dt)
-    ev_i = interacting.evaluator
-    ev_f = free.evaluator
-    dom_i = interacting.domain
-    dom_f = free.domain
 
     rngs = [path_rng(params.seed, int(i), STREAM_NOISE) for i in idx]
     x0 = np.array([draw_initial(params.with_path_index(int(i)), sampler) for i in idx])
 
-    x = x0.copy()
-    xf = x0.copy()
+    x = xf = x0
     cp = np.asarray(sorted(set(int(c) for c in checkpoint_indices)), dtype=int)
     rec = np.asarray(sorted(set(int(r) for r in record_indices)), dtype=int)
+    for name, chosen in (("checkpoint", cp), ("record", rec)):
+        for c in chosen:
+            if not 0 <= c <= steps:
+                raise ValueError(f"{name} index {c} outside the simulated range 0..{steps}")
     xf_cp = np.empty((len(cp), n))
     rec_x = np.empty((len(rec), n))
     cp_pos = {int(c): j for j, c in enumerate(cp)}
@@ -371,23 +340,15 @@ def simulate_coupled_ensemble(
         full_x[0] = x
         full_xf[0] = xf
 
-    k = 0
-    while k < steps:
-        m = min(block, steps - k)
+    for k in range(0, steps, BLOCK):
+        m = min(BLOCK, steps - k)
         raw = np.empty((n, m))
         for i, rng in enumerate(rngs):
             raw[i] = rng.standard_normal(m)
         dw = np.ascontiguousarray(raw.T) * scale
-        for j in range(m):
-            t = times[k + j]
-            if dom_i is not None:
-                ood_i += (x < dom_i[0]) | (x > dom_i[1])
-            if dom_f is not None:
-                ood_f += (xf < dom_f[0]) | (xf > dom_f[1])
-            row = dw[j]
-            x = x + ev_i(x, t) * dt + row
-            xf = xf + ev_f(xf, t) * dt + row
-            knext = k + j + 1
+        for knext, x, xf in zip(range(k + 1, k + m + 1),
+                                _euler(interacting, x, times[k:], dt, dw, ood_i),
+                                _euler(free, xf, times[k:], dt, dw, ood_f)):
             if weights is not None:
                 f_new = weights[knext] * x
                 acc += 0.5 * dt * (f_prev + f_new)
@@ -401,7 +362,6 @@ def simulate_coupled_ensemble(
             pos = rec_pos.get(knext)
             if pos is not None:
                 rec_x[pos] = x
-        k += m
 
     return EnsembleChunk(
         path_indices=idx, x0=x0, x_final=x, xf_final=xf,

@@ -63,12 +63,7 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
     for params, dw in ((params_coarse, dw_coarse), (params_fine, dw_fine)):
         x = sde.integrate_batch(interacting, x0, params, dw)
         xf = sde.co_integrate_batch(free, x, params, dw)
-
-        class _Batch:
-            times = params.times()
-            positions = x
-
-        cf = oscillator.coupled_path_closed_form(_Batch, scen, gamma_fn=gamma_fn)
+        cf = oscillator.coupled_path_closed_form(params.times(), x, scen, gamma_fn=gamma_fn)
         devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
     c_coarse = devs[dt] / dt
     c_fine = devs[0.5 * dt] / (0.5 * dt)

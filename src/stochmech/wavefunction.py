@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import GridTooNarrowWarning, NodeEncountered, UnsupportedPotential
+from .errors import GridTooNarrowWarning, NodeEncountered
 from . import tableio
 
 NODE_THRESHOLD = 1e-12          # on |psi| relative to max |psi|
@@ -124,7 +124,6 @@ class WaveState:
 
     representation: str
     time: float
-    dimension: int = 1
     potential: str = "free"
     grid: Optional[np.ndarray] = None
     amplitude: Optional[np.ndarray] = None
@@ -189,28 +188,6 @@ def free_gaussian_state(time=0.0, t0=0.0, normalized=True) -> WaveState:
     )
 
 
-def make_potential_state(potential, kind="analytic-eigenstate", time=0.0,
-                         extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """Build the supported initial state for a named potential.
-
-    ``potential`` is ``"harmonic"`` (ground state of x^2/2) or ``"free"``
-    (Gaussian packet).  ``kind`` selects the analytic closure form or a
-    normalized sample on a uniform grid.  Arbitrary tabulated states enter
-    through :meth:`WaveState.from_grid` / :func:`read_state` instead.
-    """
-    if potential not in ("harmonic", "free"):
-        raise UnsupportedPotential(f"unsupported potential {potential!r}")
-    if potential == "harmonic":
-        state = harmonic_ground_state(time)
-    else:
-        state = free_gaussian_state(time, t0=time)
-    if kind in ("analytic-eigenstate", "analytic"):
-        return state
-    if kind == "grid":
-        return to_grid(state, extent=extent, points=points)
-    raise UnsupportedPotential(f"unsupported state kind {kind!r}")
-
-
 def to_grid(state: WaveState, extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
     """Sample an analytic state onto a uniform grid (normalized)."""
     if state.representation == "grid":
@@ -245,13 +222,12 @@ class _AtTime:
         return self.fn(x, self.t)
 
 
-def _support_bounds(amps: np.ndarray) -> Tuple[int, int]:
-    """Contiguous index range where |psi| exceeds the node threshold.
+def _support_bounds(mags: np.ndarray) -> Tuple[int, int]:
+    """Contiguous index range where |psi| (``mags``) exceeds the node threshold.
 
     Raises NodeEncountered when a sub-threshold point lies strictly inside
     the super-threshold range; amplitude tails outside it are not nodes.
     """
-    mags = np.abs(amps)
     mask = mags > NODE_THRESHOLD * float(mags.max())
     idx = np.nonzero(mask)[0]
     lo, hi = int(idx[0]), int(idx[-1])
@@ -304,7 +280,7 @@ def decompose(state: WaveState, region=None) -> Decomposition:
             raise NodeEncountered("amplitude at/below node threshold in evaluation region")
         lo, hi = int(idx[0]), int(idx[-1])
     else:
-        lo, hi = _support_bounds(amps)
+        lo, hi = _support_bounds(mags)
     sub = slice(lo, hi + 1)
     R = np.log(mags[sub])
     center = int(np.clip(len(x) // 2 - lo, 0, hi - lo))
@@ -346,8 +322,8 @@ class FreeGridDriftEvaluator:
     """Free drift b_F(x, t) for an arbitrary grid initial state.
 
     The initial spectrum is propagated to the requested time (exact spectral
-    free evolution), decomposed, differentiated on the support subgrid, and
-    linearly interpolated in x.  Slices are cached per time value (large
+    free evolution) and turned into a drift by :func:`drift`, so the slice is
+    a :class:`GridInterpEvaluator`.  Slices are cached per time value (large
     enough that fixed-point sweeps over a short mesh hit the cache).
     """
 
@@ -358,9 +334,8 @@ class FreeGridDriftEvaluator:
         self.nu = float(nu)
         self.t0 = float(grid_state.time)
         self.x = grid_state.grid
-        self.h = grid_state.spacing
         self.spectrum = np.fft.fft(grid_state.amplitude)
-        self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=self.h)) ** 2
+        self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=grid_state.spacing)) ** 2
         self._cache = {}
 
     def __getstate__(self):
@@ -368,33 +343,21 @@ class FreeGridDriftEvaluator:
         state["_cache"] = {}
         return state
 
-    def _slice(self, t: float):
+    def _slice(self, t: float) -> GridInterpEvaluator:
         key = float(t)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        tau = key - self.t0
-        psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * tau))
-        lo, hi = _support_bounds(psi)
-        sub = slice(lo, hi + 1)
-        R = np.log(np.abs(psi[sub]))
-        center = int(np.clip(len(self.x) // 2 - lo, 0, hi - lo))
-        S = _unwrap_from(np.angle(psi[sub]), center)
-        b = (2.0 * self.nu * np.gradient(R, self.h, edge_order=2)
-             + np.gradient(S, self.h, edge_order=2))
-        entry = (self.x[sub], b)
+        psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * (key - self.t0)))
+        state = WaveState(representation="grid", time=key, grid=self.x, amplitude=psi)
+        entry = drift(state, self.nu).evaluator
         if len(self._cache) >= self._CACHE_SIZE:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = entry
         return entry
 
     def __call__(self, x, t):
-        xs, b = self._slice(float(t))
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-        x0 = xs[i]
-        slope = (b[i + 1] - b[i]) / (xs[i + 1] - x0)
-        return b[i] + slope * (x - x0)
+        return self._slice(t)(x, t)
 
 
 @dataclass(frozen=True)
@@ -422,7 +385,8 @@ def drift(state: WaveState, nu: float) -> DriftField:
     Analytic states yield closed-form evaluators (time dependent for the free
     Gaussian family).  Grid states yield central-difference gradients on the
     support subgrid, interpolated linearly and extrapolated linearly outside;
-    they are valid for stationary dynamics only.
+    such a field is frozen at the state's time, so it serves stationary
+    dynamics or one time slice of a moving state (FreeGridDriftEvaluator).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")

@@ -16,6 +16,7 @@ fixtures; everything downstream of them is deterministic given the seeds.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ DT = 1e-3
 HORIZON = 50.0
 M = 10_000
 VAR_BAND = 3.0 * 0.5 * math.sqrt(2.0 / M)      # ~0.0212
+# ensembles are identical for any worker count, so the fixtures use every core
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -43,13 +46,14 @@ def oscillator_ensemble():
     params = sde.SimParams(nu=NU, dt=DT, horizon=HORIZON, seed=42)
     weights = oscillator.momentum_quadrature_weights(params.times(), scen)
     return momentum.collect(Scenario(kind="oscillator-ground", nu=NU), params, M,
-                            time_weights=weights)
+                            time_weights=weights, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def free_ensemble():
     params = sde.SimParams(nu=NU, dt=DT, horizon=HORIZON, seed=43)
-    return momentum.collect(Scenario(kind="free-gaussian", nu=NU), params, M)
+    return momentum.collect(Scenario(kind="free-gaussian", nu=NU), params, M,
+                            workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +62,7 @@ def nu_variant_ensembles():
     for offset, nu in ((2, 0.25), (3, 1.0)):
         params = sde.SimParams(nu=nu, dt=DT, horizon=HORIZON, seed=42 + offset)
         out[nu] = momentum.collect(Scenario(kind="oscillator-ground", nu=nu),
-                                   params, M)
+                                   params, M, workers=WORKERS)
     return out
 
 

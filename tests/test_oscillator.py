@@ -9,7 +9,7 @@ from scipy import integrate as scipy_integrate
 from stochmech import oscillator as osc
 from stochmech import sde
 from stochmech import wavefunction as wf
-from stochmech.scenarios import GaussianInitialSampler
+from stochmech.scenarios import GaussianInitialSampler, Scenario
 
 SCEN = osc.OscillatorScenario(nu=0.5, t0=0.0)
 
@@ -47,32 +47,37 @@ def test_gamma_asymptote():
 
 
 # ---------------------------------------------------------------------------
-# free drift
+# drift pair of the scenario (the wavefunction route the integrators use)
 # ---------------------------------------------------------------------------
+
+INTERACTING, FREE = Scenario(kind="oscillator-ground", nu=SCEN.nu).drift_fields()
+
 
 def test_free_drift_coincides_with_interacting_drift_at_start():
     x = np.linspace(-3.0, 3.0, 13)
-    assert np.allclose(osc.free_drift(x, 0.0, SCEN), -2.0 * SCEN.nu * x, atol=1e-14)
+    assert np.allclose(FREE(x, 0.0), -2.0 * SCEN.nu * x, atol=1e-14)
+    assert np.allclose(FREE(x, 0.0), INTERACTING(x, 0.0), atol=1e-14)
 
 
 def test_free_drift_zero_at_origin_and_at_balanced_time():
-    assert osc.free_drift(0.0, 3.7, SCEN) == 0.0
+    assert FREE(0.0, 3.7) == 0.0
     # numerator 2 nu - tau vanishes at tau = 2 nu
     x = np.linspace(-5.0, 5.0, 11)
-    assert np.allclose(osc.free_drift(x, 2.0 * SCEN.nu, SCEN), 0.0, atol=1e-14)
+    assert np.allclose(FREE(x, 2.0 * SCEN.nu), 0.0, atol=1e-14)
 
 
 def test_ground_drift_matches_wavefunction_route():
-    field = wf.drift(wf.harmonic_ground_state(), SCEN.nu)
+    # -2 nu x at every time: the ground state is stationary
     x = np.linspace(-4.0, 4.0, 17)
-    assert np.allclose(osc.ground_drift(x, SCEN), field(x, 0.0), atol=1e-14)
+    for t in (0.0, 1.3, 40.0):
+        assert np.allclose(INTERACTING(x, t), -2.0 * SCEN.nu * x, atol=1e-14)
 
 
 def test_free_drift_matches_wavefunction_route():
-    field = wf.drift(wf.free_gaussian_state(time=0.0, t0=0.0), SCEN.nu)
+    # the spreading Gaussian's drift is -x times the integrating-factor rate
     x = np.linspace(-4.0, 4.0, 17)
     for t in (0.0, 0.8, 2.5, 10.0):
-        assert np.allclose(osc.free_drift(x, t, SCEN), field(x, t), atol=1e-12)
+        assert np.allclose(FREE(x, t), -x * osc.gamma_rate(t, SCEN), atol=1e-12)
 
 
 def test_free_drift_matches_finite_difference_of_fields():
@@ -83,7 +88,7 @@ def test_free_drift_matches_finite_difference_of_fields():
     dr = (dec.R(x + h) - dec.R(x - h)) / (2.0 * h)
     ds = (dec.S(x + h) - dec.S(x - h)) / (2.0 * h)
     expected = 2.0 * SCEN.nu * dr + ds
-    assert np.max(np.abs(osc.free_drift(x, 2.2, SCEN) - expected)) < 1e-8
+    assert np.max(np.abs(FREE(x, 2.2) - expected)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +105,10 @@ def test_closed_form_trivial_cases():
     zeros = np.zeros(params.steps)
     field = wf.drift(wf.harmonic_ground_state(), params.nu)
     path = sde.integrate(field, 0.0, params, increments=zeros)
-    xf = osc.coupled_path_closed_form(path, SCEN)
+    xf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)
     assert np.allclose(xf, 0.0, atol=1e-15)
     path2 = _simulate_base(params, x0=0.8)
-    xf2 = osc.coupled_path_closed_form(path2, SCEN)
+    xf2 = osc.coupled_path_closed_form(path2.times, path2.positions, SCEN)
     assert xf2[0] == pytest.approx(0.8, abs=1e-14)
 
 
@@ -117,7 +122,7 @@ def test_closed_form_agrees_with_co_integration_at_order_dt():
         for index in range(10):
             path = _simulate_base(params.with_path_index(index))
             pair = sde.co_integrate((interacting, free), path)
-            cf = osc.coupled_path_closed_form(path, SCEN)
+            cf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)
             per_path.append(np.max(np.abs(pair.free_positions - cf)))
         devs[dt] = np.mean(per_path)
     c_coarse = devs[2e-3] / 2e-3
@@ -130,37 +135,15 @@ def test_closed_form_matrix_matches_per_path():
     params = sde.SimParams(nu=SCEN.nu, dt=1e-3, horizon=2.0, seed=77)
     paths = [_simulate_base(params.with_path_index(i), x0=0.1 * i) for i in range(4)]
     matrix = np.stack([p.positions for p in paths], axis=1)
-
-    class Stacked:
-        times = paths[0].times
-        positions = matrix
-
-    combined = osc.coupled_path_closed_form(Stacked, SCEN)
+    combined = osc.coupled_path_closed_form(params.times(), matrix, SCEN)
     for i, p in enumerate(paths):
-        assert np.allclose(combined[:, i], osc.coupled_path_closed_form(p, SCEN),
-                           atol=1e-14)
+        single = osc.coupled_path_closed_form(p.times, p.positions, SCEN)
+        assert np.allclose(combined[:, i], single, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # momentum integral
 # ---------------------------------------------------------------------------
-
-def test_momentum_integral_of_zero_path():
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=5)
-    zeros = np.zeros(params.steps)
-    field = wf.drift(wf.harmonic_ground_state(), params.nu)
-    path = sde.integrate(field, 0.0, params, increments=zeros)
-    assert osc.momentum_integral(path, SCEN) == 0.0
-
-
-def test_momentum_integral_report_tail_estimate():
-    params = sde.SimParams(nu=0.5, dt=5e-3, horizon=50.0, seed=6)
-    path = _simulate_base(params)
-    value, tail = osc.momentum_integral_report(path, SCEN)
-    assert value == pytest.approx(osc.momentum_integral(path, SCEN), abs=1e-12)
-    closed = osc.momentum_tail_std(50.0, SCEN)
-    assert tail == pytest.approx(closed, rel=0.25)
-
 
 def test_integral_variance_against_brute_force_double_quadrature():
     scen = osc.OscillatorScenario(nu=0.5)
@@ -229,6 +212,6 @@ def test_closed_form_with_shifted_start_time():
     free = wf.drift(wf.free_gaussian_state(time=t0, t0=t0), 0.5)
     path = sde.integrate(field, 0.3, params)
     pair = sde.co_integrate((field, free), path)
-    cf = osc.coupled_path_closed_form(path, scen)
+    cf = osc.coupled_path_closed_form(path.times, path.positions, scen)
     assert np.max(np.abs(pair.free_positions - cf)) < 0.05
     assert osc.gamma(t0, scen) == 0.0

@@ -214,23 +214,19 @@ def test_picard_raises_no_convergence():
     assert err.value.last_residual > 0.0
 
 
-def test_lipschitz_estimate_matches_linear_drift():
-    field = oscillator_drift(nu=0.5)
-    est = sde.estimate_lipschitz(field, (-5.0, 5.0), (0.0, 10.0), n=500)
-    assert est == pytest.approx(1.0, rel=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # batched engine
 # ---------------------------------------------------------------------------
 
-def test_batch_matches_single_path_bitwise():
+def test_batch_matches_single_path_bitwise(monkeypatch):
+    # a small noise block makes the 500-step run cross block boundaries
+    monkeypatch.setattr(sde, "BLOCK", 128)
     nu = 0.5
     params = sde.SimParams(nu=nu, dt=1e-3, horizon=0.5, seed=41)
     interacting, free = oscillator_drift(nu), free_drift(nu)
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(
-        interacting, free, sampler, params, range(5), store_paths=True, block=128)
+        interacting, free, sampler, params, range(5), store_paths=True)
     for i in range(5):
         p = params.with_path_index(i)
         x0 = sde.draw_initial(p, sampler)
@@ -265,3 +261,33 @@ def test_batch_out_of_domain_diagnostics():
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(narrow, narrow, sampler, params, range(3))
     assert np.all(chunk.ood_interacting > 0)
+
+
+def test_scalar_and_batch_count_out_of_domain_alike():
+    # one rule everywhere: x < lo or x > hi, so a NaN position is not counted
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=53)
+    narrow = DriftField(kind="interacting", nu=0.5, domain=(-0.02, 0.03),
+                        evaluator=lambda x, t: np.where(x > 0.05, np.nan, 0.0))
+    narrow_free = DriftField(kind="free", nu=0.5, evaluator=ZeroField(),
+                             domain=(-0.05, 0.01))
+    sampler = GaussianInitialSampler(sigma=0.02)
+    chunk = sde.simulate_coupled_ensemble(narrow, narrow_free, sampler, params, range(6))
+    assert np.all(chunk.ood_interacting > 0) and np.all(chunk.ood_free > 0)
+    assert np.any(np.isnan(chunk.x_final))
+    for i in range(6):
+        p = params.with_path_index(i)
+        path = sde.integrate(narrow, sde.draw_initial(p, sampler), p)
+        pair = sde.co_integrate((narrow, narrow_free), path)
+        assert path.ood_count == chunk.ood_interacting[i]
+        assert pair.ood_count_free == chunk.ood_free[i]
+
+
+@pytest.mark.parametrize("keyword", ["checkpoint_indices", "record_indices"])
+@pytest.mark.parametrize("bad", [-1, 101, 5000])
+def test_batch_rejects_indices_outside_the_run(keyword, bad):
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, seed=59)
+    field = oscillator_drift()
+    sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
+    with pytest.raises(ValueError, match=f"index {bad} "):
+        sde.simulate_coupled_ensemble(field, field, sampler, params, range(2),
+                                      **{keyword: [0, 100, bad]})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stochmech import wavefunction as wf
-from stochmech.errors import GridTooNarrowWarning, NodeEncountered, UnsupportedPotential
+from stochmech.errors import GridTooNarrowWarning, NodeEncountered
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +236,18 @@ def test_momentum_density_cdf_ppf_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# make_potential_state
+# built-in states
 # ---------------------------------------------------------------------------
 
 def test_make_harmonic_state_profile():
-    state = wf.make_potential_state("harmonic")
+    state = wf.harmonic_ground_state()
     x = np.linspace(-2.0, 2.0, 11)
     ratio = state.psi(x) / np.exp(-0.5 * x * x)
     assert np.allclose(ratio, ratio[0], atol=1e-12)
 
 
 def test_make_free_state_spreads_like_gaussian_family():
-    state = wf.make_potential_state("free")
+    state = wf.free_gaussian_state()
     field = wf.drift(state, 0.5)
     x = np.array([1.0, -2.0])
     t = 1.0
@@ -255,16 +255,9 @@ def test_make_free_state_spreads_like_gaussian_family():
 
 
 def test_make_grid_state_is_normalized():
-    state = wf.make_potential_state("harmonic", kind="grid", points=1024)
+    state = wf.to_grid(wf.harmonic_ground_state(), points=1024)
     assert state.representation == "grid"
     assert abs(state.norm - 1.0) < 1e-10
-
-
-def test_make_potential_state_rejects_unknown():
-    with pytest.raises(UnsupportedPotential):
-        wf.make_potential_state("quartic")
-    with pytest.raises(UnsupportedPotential):
-        wf.make_potential_state("harmonic", kind="spline")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ and target-density dumps.
 A run is configured by one JSON file plus flag overrides (flags win) and
 writes one directory named scenario + seed + timestamp containing, in order:
 manifest.json (config echo + tool version), ensemble.tsv, density.tsv,
-summary.json, and optional per-path dumps.  Ensemble tables are byte-stable
-under re-runs of the same configuration for any worker count.
+summary.json, and optional per-path dumps.  The directory takes that name
+only when the run succeeds; a failed run leaves none.  Ensemble tables are
+byte-stable under re-runs of the same configuration for any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -140,15 +142,13 @@ def load_config(args: argparse.Namespace) -> ScenarioConfig:
     return _apply_overrides(config, args).validate()
 
 
-def _run_directory(config: ScenarioConfig) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    base = os.path.join(config.out, f"{config.scenario}-seed{config.seed}-{stamp}")
+def _unused_path(base: str) -> str:
+    """``base``, or the first of ``base-1``, ``base-2``, ... that does not exist."""
     candidate = base
     suffix = 1
     while os.path.exists(candidate):
         candidate = f"{base}-{suffix}"
         suffix += 1
-    os.makedirs(candidate)
     return candidate
 
 
@@ -186,10 +186,30 @@ def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Build the run under a hidden ``.<name>.partial`` sibling and rename it
+    to ``<scenario>-seed<seed>-<stamp>`` only once every artifact is written,
+    so a failed run leaves no run directory behind."""
     config = load_config(args)
+    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+    name = f"{config.scenario}-seed{config.seed}-{stamp}"
+    staging = _unused_path(os.path.join(config.out, f".{name}.partial"))
+    os.makedirs(staging)
+    try:
+        report = _write_run(staging, config)
+        run_dir = _unused_path(os.path.join(config.out, name))
+        os.rename(staging, run_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    print(f"run directory: {run_dir}")
+    print(report)
+    return 0
+
+
+def _write_run(run_dir: str, config: ScenarioConfig) -> str:
+    """Every artifact of one run into ``run_dir``; returns the report lines."""
     scenario = config.scenario_obj()
     params = config.sim_params()
-    run_dir = _run_directory(config)
     _write_manifest(run_dir, config)
 
     ensemble = momentum.collect(scenario, params, config.paths,
@@ -230,12 +250,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if config.dump_paths:
         _dump_paths(run_dir, config)
 
-    print(f"run directory: {run_dir}")
-    print(f"momentum samples: {mom.n}")
-    print(f"mean(P) = {mom.mean:.5f} +- {mom.stderr_mean:.5f}")
-    print(f"var(P)  = {mom.variance:.5f} +- {mom.stderr_variance:.5f}")
-    print(f"KS vs quantum momentum density: D = {ks.statistic:.5f}, p = {ks.pvalue:.4f}")
-    return 0
+    return (f"momentum samples: {mom.n}\n"
+            f"mean(P) = {mom.mean:.5f} +- {mom.stderr_mean:.5f}\n"
+            f"var(P)  = {mom.variance:.5f} +- {mom.stderr_variance:.5f}\n"
+            f"KS vs quantum momentum density: D = {ks.statistic:.5f}, p = {ks.pvalue:.4f}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

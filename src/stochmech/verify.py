@@ -37,6 +37,15 @@ def _oscillator_fields(nu: float):
     return scenario, interacting, free
 
 
+def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
+    """Increments (steps, n_paths) and initial positions of paths
+    0..n_paths-1, each from its own streams, for the batch integrators."""
+    per_path = [params.with_path_index(i) for i in range(n_paths)]
+    dw = np.stack([sde.wiener_increments(p) for p in per_path], axis=1)
+    x0 = np.array([sde.draw_initial(p, sampler) for p in per_path])
+    return dw, x0
+
+
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
                               horizon: float = 10.0, n_paths: int = 100,
                               seed: int = 1000, gamma_fn=None) -> CheckResult:
@@ -50,12 +59,7 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
     scenario, interacting, free = _oscillator_fields(nu)
     sampler = scenario.initial_sampler()
     params_fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
-    dw_fine = np.stack([
-        sde.wiener_increments(params_fine.with_path_index(i))
-        for i in range(n_paths)], axis=1)
-    x0 = np.array([
-        sde.draw_initial(params_fine.with_path_index(i), sampler)
-        for i in range(n_paths)])
+    dw_fine, x0 = _draw_paths(params_fine, sampler, n_paths)
     params_coarse = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
     dw_coarse = dw_fine[0::2] + dw_fine[1::2]
 
@@ -87,16 +91,19 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
     scenario, interacting, free = _oscillator_fields(nu)
     sampler = scenario.initial_sampler()
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
+    dw, x0 = _draw_paths(params, sampler, n_paths)
+    x = sde.integrate_batch(interacting, x0, params, dw)
+    direct = sde.co_integrate_batch(free, x, params, dw)
+    times = params.times()
     worst_gap = 0.0
     worst_ratio = 0.0
     for i in range(n_paths):
-        p = params.with_path_index(i)
-        x0 = sde.draw_initial(p, sampler)
-        path = sde.integrate(interacting, x0, p)
-        direct = sde.co_integrate((interacting, free), path)
+        # column i is bit-identical to a single-path integrate of path i
+        path = sde.SamplePath(times=times, positions=x[:, i], increments=dw[:, i],
+                              params=params.with_path_index(i))
         pair, _, history = sde.picard_solve((interacting, free), path, tol=tol)
         worst_gap = max(worst_gap, float(np.max(np.abs(
-            pair.free_positions - direct.free_positions))))
+            pair.free_positions - direct[:, i]))))
         ratios = np.array(history[1:]) / np.array(history[:-1])
         if len(ratios) > 1:
             worst_ratio = max(worst_ratio, float(ratios[1:].max()))

@@ -224,6 +224,33 @@ def test_verify_negative_control_flipped_gamma():
     assert not bad.passed
 
 
+def test_batched_picard_check_matches_the_scalar_route():
+    # the check steps its paths as one batch; one path at a time through the
+    # single-path integrators gives the same worst gap and ratio bit for bit
+    from stochmech import sde
+    from stochmech.scenarios import Scenario
+    nu, dt, horizon, n_paths, seed = 0.5, 1e-3, 1.0, 4, 2000
+    result = verify.check_picard_equivalence(nu=nu, dt=dt, horizon=horizon,
+                                             n_paths=n_paths, seed=seed)
+    scenario = Scenario(kind="oscillator-ground", nu=nu)
+    fields = scenario.drift_fields()
+    sampler = scenario.initial_sampler()
+    params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
+    gap = ratio = 0.0
+    for i in range(n_paths):
+        p = params.with_path_index(i)
+        path = sde.integrate(fields[0], sde.draw_initial(p, sampler), p)
+        direct = sde.co_integrate(fields, path)
+        pair, _, history = sde.picard_solve(fields, path)
+        gap = max(gap, float(np.max(np.abs(pair.free_positions - direct.free_positions))))
+        ratios = np.array(history[1:]) / np.array(history[:-1])
+        if len(ratios) > 1:
+            ratio = max(ratio, float(ratios[1:].max()))
+    assert ratio > 0.0
+    assert result.data["gap"] == gap
+    assert result.data["ratio"] == ratio
+
+
 def test_verify_cli_requires_oscillator():
     assert run_main("verify", "--scenario", "free-gaussian") == 2
 
@@ -243,12 +270,15 @@ def test_verify_cli_small(capsys):
 
 def test_grid_custom_failure_is_reported_without_traceback(tmp_path, capsys):
     # the default grid's free drift meets a node near t = 2.47
+    out = tmp_path / "runs"
     code = run_main("run", "--scenario", "grid-custom", "--horizon", "3",
-                    "--paths", "4", "--workers", "1", "--out", str(tmp_path / "runs"))
+                    "--paths", "4", "--workers", "1", "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: simulation failed in paths 0..3: ")
     assert "Traceback" not in err
+    # not even the hidden directory the run was built in is left behind
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_path_simulation_error_survives_pickling():

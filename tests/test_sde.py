@@ -236,6 +236,23 @@ def test_batch_matches_single_path_bitwise(monkeypatch):
         assert np.array_equal(chunk.free_positions[:, i], pair.free_positions)
 
 
+def test_block_size_does_not_change_the_ensemble(monkeypatch):
+    # 5,000 steps cross the 4,096-step block boundary and nine 512-step ones
+    nu = 0.5
+    params = sde.SimParams(nu=nu, dt=1e-3, horizon=5.0, seed=61)
+    interacting, free = oscillator_drift(nu), free_drift(nu)
+    sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
+    weights = np.exp(-params.times())
+    chunks = []
+    for block in (4096, 512):
+        monkeypatch.setattr(sde, "BLOCK", block)
+        chunks.append(sde.simulate_coupled_ensemble(
+            interacting, free, sampler, params, range(6),
+            checkpoint_indices=[512, 4096, 4097, 5000], time_weights=weights))
+    for name in ("x_final", "xf_final", "xf_checkpoints", "weighted_integral"):
+        assert np.array_equal(getattr(chunks[0], name), getattr(chunks[1], name)), name
+
+
 def test_batch_checkpoints_and_weights():
     nu = 0.5
     params = sde.SimParams(nu=nu, dt=1e-3, horizon=1.0, seed=43)

@@ -36,7 +36,6 @@ from .momentum import (
     MomentumEnsemble,
     PathSimulationError,
     collect,
-    estimate_momentum,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "picard_solve", "wiener_increments",
     "OscillatorScenario", "Scenario",
     "MomentumEnsemble", "PathSimulationError", "collect",
-    "estimate_momentum",
 ]

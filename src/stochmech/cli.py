@@ -76,8 +76,9 @@ class ScenarioConfig:
         for name in ("nu", "dt", "horizon"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.paths < 1:
-            raise ConfigError("paths: must be >= 1")
+        if self.paths < stats.MIN_KS_SAMPLES:
+            raise ConfigError(f"paths: must be >= {stats.MIN_KS_SAMPLES}, "
+                              f"the fewest samples the KS test accepts")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
         if self.policy not in POLICIES:
@@ -174,32 +175,54 @@ def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
     for start in range(0, config.paths, DUMP_BATCH):
         batch = sde.simulate_coupled_ensemble(
             interacting, free, sampler, params,
-            range(start, min(start + DUMP_BATCH, config.paths)), store_paths=True)
+            range(start, min(start + DUMP_BATCH, config.paths)),
+            record_indices=np.arange(params.steps + 1))
         for j, index in enumerate(batch.path_indices):
             dw = sde.wiener_increments(params.with_path_index(int(index)))
             tableio.write_table(os.path.join(dump_dir, f"path_{index:05d}.tsv"), {
                 "t": times,
-                "x": batch.positions[:, j],
-                "x_F": batch.free_positions[:, j],
+                "x": batch.recorded_x[:, j],
+                "x_F": batch.recorded_xf[:, j],
                 "dW": np.append(dw, 0.0),
             })
+
+
+def _missing_dirs(path: str) -> list:
+    """``path`` and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Build the run under a hidden ``.<name>.partial`` sibling and rename it
     to ``<scenario>-seed<seed>-<stamp>`` only once every artifact is written,
-    so a failed run leaves no run directory behind."""
+    so a failed run leaves no run directory behind, nor the ``--out``
+    directories it created."""
     config = load_config(args)
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     name = f"{config.scenario}-seed{config.seed}-{stamp}"
     staging = _unused_path(os.path.join(config.out, f".{name}.partial"))
-    os.makedirs(staging)
+    created = _missing_dirs(config.out)
     try:
+        try:
+            os.makedirs(staging)
+        except OSError as err:
+            raise ConfigError(f"out: cannot create a run directory in "
+                              f"{config.out!r}: {err.strerror}") from err
         report = _write_run(staging, config)
         run_dir = _unused_path(os.path.join(config.out, name))
         os.rename(staging, run_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
+        for path in created:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
         raise
     print(f"run directory: {run_dir}")
     print(report)

@@ -65,16 +65,6 @@ def _reduce_checkpoints(xf_cp: np.ndarray, cp_idx: np.ndarray, dt: float,
     return a
 
 
-def estimate_momentum(pair: sde.CoupledPair, policy: str = "ratio") -> float:
-    """Momentum of one coupled pair under the chosen truncation policy."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    params = pair.base.params
-    cp_idx = _checkpoint_indices(params.steps, policy)
-    xf_cp = pair.free_positions[cp_idx][:, None]
-    return float(_reduce_checkpoints(xf_cp, cp_idx, params.dt, policy)[0])
-
-
 class PathSimulationError(StochmechError):
     """A path chunk failed; carries the covered path indices."""
 
@@ -90,23 +80,16 @@ class PathSimulationError(StochmechError):
 
 
 def _run_chunk(scenario: Scenario, params: sde.SimParams, indices: np.ndarray,
-               policy: str, time_weights: Optional[np.ndarray],
-               record_indices: Sequence[int]) -> sde.EnsembleChunk:
+               record_indices: Sequence[int],
+               time_weights: Optional[np.ndarray]) -> sde.EnsembleChunk:
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
     try:
         return sde.simulate_coupled_ensemble(
             interacting, free, sampler, params, indices,
-            checkpoint_indices=_checkpoint_indices(params.steps, policy),
-            record_indices=record_indices,
-            time_weights=time_weights,
-        )
+            record_indices=record_indices, time_weights=time_weights)
     except Exception as err:
         raise PathSimulationError(indices, err) from err
-
-
-def _chunk_worker(args):
-    return _run_chunk(*args)
 
 
 def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
@@ -127,36 +110,42 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         raise ValueError("ensemble size must be >= 1")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    record_indices = []
-    if record_times is not None:
-        for t in record_times:
-            k = round((t - params.t0) / params.dt)
-            if not (0 <= k <= params.steps):
-                raise ValueError(f"record time {t} outside the simulated range")
-            record_indices.append(k)
-    jobs = []
-    for start in range(0, ensemble_size, chunk_size):
-        indices = np.arange(start, min(start + chunk_size, ensemble_size))
-        jobs.append((scenario, params, indices, policy, time_weights, record_indices))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_worker, jobs))
-    else:
-        chunks = [_run_chunk(*job) for job in jobs]
-
+    record_indices = set()
+    for t in record_times or ():
+        k = round((t - params.t0) / params.dt)
+        if not (0 <= k <= params.steps):
+            raise ValueError(f"record time {t} outside the simulated range")
+        record_indices.add(k)
     cp_idx = _checkpoint_indices(params.steps, policy)
+    # the kernel keeps these rows of x and x_F: step 0, the policy's
+    # checkpoints, the horizon and the record times
+    rows = sorted({0, params.steps, *cp_idx.tolist(), *record_indices})
+    row_of = {k: j for j, k in enumerate(rows)}
+
+    indices = [np.arange(start, min(start + chunk_size, ensemble_size))
+               for start in range(0, ensemble_size, chunk_size)]
+    n = len(indices)
+    columns = ([scenario] * n, [params] * n, indices, [rows] * n, [time_weights] * n)
+    if workers > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_chunk, *columns))
+    else:
+        chunks = list(map(_run_chunk, *columns))
+
+    cp_rows = [row_of[k] for k in cp_idx.tolist()]
     values = np.concatenate([
-        _reduce_checkpoints(ch.xf_checkpoints, cp_idx, params.dt, policy)
+        _reduce_checkpoints(ch.recorded_xf[cp_rows], cp_idx, params.dt, policy)
         for ch in chunks])
     path_indices = np.concatenate([ch.path_indices for ch in chunks])
     order = np.argsort(path_indices)
     values = values[order]
     path_indices = path_indices[order]
+    x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)[:, order]
 
     extras = {
-        "x0": np.concatenate([ch.x0 for ch in chunks])[order],
-        "x_final": np.concatenate([ch.x_final for ch in chunks])[order],
-        "xf_final": np.concatenate([ch.xf_final for ch in chunks])[order],
+        "x0": x[0],
+        "x_final": x[-1],
+        "xf_final": np.concatenate([ch.recorded_xf[-1] for ch in chunks])[order],
         "out_of_domain": (np.concatenate([ch.ood_interacting for ch in chunks])[order]
                           + np.concatenate([ch.ood_free for ch in chunks])[order]),
     }
@@ -164,9 +153,9 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         extras["weighted_integrals"] = np.concatenate(
             [ch.weighted_integral for ch in chunks])[order]
     if record_indices:
-        extras["recorded_times"] = params.t0 + np.asarray(sorted(set(record_indices))) * params.dt
-        extras["recorded_x"] = np.concatenate(
-            [ch.recorded_x for ch in chunks], axis=1)[:, order].T
+        recorded = sorted(record_indices)
+        extras["recorded_times"] = params.t0 + np.asarray(recorded) * params.dt
+        extras["recorded_x"] = x[[row_of[k] for k in recorded]].T
 
     provenance = {
         "scenario": scenario.scenario_id,

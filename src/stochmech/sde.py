@@ -265,18 +265,11 @@ class EnsembleChunk:
     """Per-path outputs of one batched run (paths along the last axis)."""
 
     path_indices: np.ndarray
-    x0: np.ndarray
-    x_final: np.ndarray
-    xf_final: np.ndarray
-    checkpoint_indices: np.ndarray
-    xf_checkpoints: np.ndarray           # (n_checkpoints, n_paths)
-    recorded_indices: np.ndarray
-    recorded_x: np.ndarray               # (n_recorded, n_paths)
+    recorded_x: np.ndarray               # (len(record_indices), n_paths)
+    recorded_xf: np.ndarray
     weighted_integral: Optional[np.ndarray]
     ood_interacting: np.ndarray
     ood_free: np.ndarray
-    positions: Optional[np.ndarray] = None       # (steps+1, n_paths) if stored
-    free_positions: Optional[np.ndarray] = None
 
 
 def simulate_coupled_ensemble(
@@ -285,18 +278,18 @@ def simulate_coupled_ensemble(
     sampler: Callable,
     params: SimParams,
     path_indices: Sequence[int],
-    checkpoint_indices: Sequence[int] = (),
     record_indices: Sequence[int] = (),
     time_weights: Optional[np.ndarray] = None,
-    store_paths: bool = False,
 ) -> EnsembleChunk:
     """Simulate coupled pairs for many paths at once.
 
     Per-path streams make the result independent of batching; elementwise
     updates make each column bit-identical to the single-path integrators.
-    ``time_weights`` (length steps+1) switches on a running trapezoid
-    accumulator of sum w(t) x(t) dt along the interacting path.  Noise is
-    drawn in blocks of ``BLOCK`` steps per path.
+    x and x_F are kept at the step indices ``record_indices`` (strictly
+    increasing, within 0..steps) and nowhere else.  ``time_weights`` (length
+    steps+1) switches on a running trapezoid accumulator of sum w(t) x(t) dt
+    along the interacting path.  Noise is drawn in blocks of ``BLOCK`` steps
+    per path.
     """
     idx = np.asarray(list(path_indices), dtype=int)
     n = len(idx)
@@ -305,24 +298,25 @@ def simulate_coupled_ensemble(
     times = params.times()
     scale = np.sqrt(2.0 * params.nu * params.dt)
 
+    rec = np.asarray(record_indices, dtype=int)
+    outside = rec[(rec < 0) | (rec > steps)]
+    if len(outside):
+        raise ValueError(f"record index {outside[0]} outside the simulated range 0..{steps}")
+    if np.any(rec[1:] <= rec[:-1]):
+        raise ValueError("record indices must be strictly increasing")
+
     rngs = [path_rng(params.seed, int(i), STREAM_NOISE) for i in idx]
     x0 = np.array([draw_initial(params.with_path_index(int(i)), sampler) for i in idx])
 
     x = xf = x0
-    cp = np.asarray(sorted(set(int(c) for c in checkpoint_indices)), dtype=int)
-    rec = np.asarray(sorted(set(int(r) for r in record_indices)), dtype=int)
-    for name, chosen in (("checkpoint", cp), ("record", rec)):
-        for c in chosen:
-            if not 0 <= c <= steps:
-                raise ValueError(f"{name} index {c} outside the simulated range 0..{steps}")
-    xf_cp = np.empty((len(cp), n))
     rec_x = np.empty((len(rec), n))
-    cp_pos = {int(c): j for j, c in enumerate(cp)}
-    rec_pos = {int(r): j for j, r in enumerate(rec)}
-    if 0 in cp_pos:
-        xf_cp[cp_pos[0]] = xf
-    if 0 in rec_pos:
-        rec_x[rec_pos[0]] = x
+    rec_xf = np.empty((len(rec), n))
+    # a cursor over the rows still to take: row j at step target (-1: none)
+    takes = enumerate(map(int, rec))
+    j, target = next(takes, (0, -1))
+    if target == 0:
+        rec_x[0] = rec_xf[0] = x0
+        j, target = next(takes, (0, -1))
     ood_i = np.zeros(n, dtype=int)
     ood_f = np.zeros(n, dtype=int)
 
@@ -334,13 +328,6 @@ def simulate_coupled_ensemble(
             raise ValueError("time_weights must have length steps + 1")
         acc = np.zeros(n)
         f_prev = weights[0] * x
-
-    full_x = full_xf = None
-    if store_paths:
-        full_x = np.empty((steps + 1, n))
-        full_xf = np.empty((steps + 1, n))
-        full_x[0] = x
-        full_xf[0] = xf
 
     for k in range(0, steps, BLOCK):
         m = min(BLOCK, steps - k)
@@ -355,20 +342,12 @@ def simulate_coupled_ensemble(
                 f_new = weights[knext] * x
                 acc += 0.5 * dt * (f_prev + f_new)
                 f_prev = f_new
-            if store_paths:
-                full_x[knext] = x
-                full_xf[knext] = xf
-            pos = cp_pos.get(knext)
-            if pos is not None:
-                xf_cp[pos] = xf
-            pos = rec_pos.get(knext)
-            if pos is not None:
-                rec_x[pos] = x
+            if knext == target:
+                rec_x[j] = x
+                rec_xf[j] = xf
+                j, target = next(takes, (0, -1))
 
     return EnsembleChunk(
-        path_indices=idx, x0=x0, x_final=x, xf_final=xf,
-        checkpoint_indices=cp, xf_checkpoints=xf_cp,
-        recorded_indices=rec, recorded_x=rec_x,
+        path_indices=idx, recorded_x=rec_x, recorded_xf=rec_xf,
         weighted_integral=acc, ood_interacting=ood_i, ood_free=ood_f,
-        positions=full_x, free_positions=full_xf,
     )

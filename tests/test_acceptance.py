@@ -130,8 +130,8 @@ def test_criterion_8_free_coupling_identity(free_ensemble):
     params = sde.SimParams(nu=NU, dt=DT, horizon=5.0, seed=43)
     chunk = sde.simulate_coupled_ensemble(
         interacting, free_field, scenario.initial_sampler(), params, range(200),
-        store_paths=True)
-    trajectories_equal = np.array_equal(chunk.positions, chunk.free_positions)
+        record_indices=np.arange(params.steps + 1))
+    trajectories_equal = np.array_equal(chunk.recorded_x, chunk.recorded_xf)
     passed = finals_equal and trajectories_equal
     report(8, passed,
            f"x_F == x exactly on {M} final values and 200 full trajectories")

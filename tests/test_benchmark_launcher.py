@@ -1,0 +1,35 @@
+"""Smoke test of the benchmark launcher: the entry points it wraps by name
+must still exist and still step the paths it counts."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+PATHS, STEPS = 16, 50
+
+
+def launch(op_dir, *flags):
+    cli_args = ["run", "--scenario", "oscillator-ground", "--paths", str(PATHS),
+                "--horizon", "0.05", "--workers", "1", "--dump-paths",
+                "--out", str(op_dir / "runs")]
+    return subprocess.run([sys.executable, str(LAUNCH), str(op_dir), *flags, "--",
+                           *cli_args], capture_output=True, text=True, timeout=120)
+
+
+def test_traced_run_counts_every_path_step(tmp_path):
+    done = launch(tmp_path, "--trace")
+    assert done.returncode == 0, done.stderr
+    steps = 0
+    for trace in tmp_path.glob("trace.*.jsonl"):
+        for line in trace.read_text().splitlines():
+            steps += json.loads(line)["counts"].get("sde.path_steps", 0)
+    # collect steps every path once and --dump-paths steps it again
+    assert steps == 2 * PATHS * STEPS
+
+
+def test_untraced_run_marks_the_first_step(tmp_path):
+    done = launch(tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert list(tmp_path.glob("first_step.*"))

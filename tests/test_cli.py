@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stochmech import cli, oscillator, tableio, verify
-from stochmech.errors import ConfigError
+from stochmech.errors import ConfigError, StochmechError
 
 
 def run_main(*argv):
@@ -26,6 +26,9 @@ def test_default_config_is_valid():
 def test_config_rejects_bad_fields(tmp_path):
     with pytest.raises(ConfigError, match="paths"):
         cli.ScenarioConfig(paths=0).validate()
+    with pytest.raises(ConfigError, match="paths: must be >= 10"):
+        cli.ScenarioConfig(paths=9).validate()      # the KS test needs 10
+    cli.ScenarioConfig(paths=10).validate()
     with pytest.raises(ConfigError, match="policy"):
         cli.ScenarioConfig(policy="midpoint").validate()
     with pytest.raises(ConfigError, match="scenario"):
@@ -63,6 +66,30 @@ def test_invalid_paths_leaves_no_artifacts(tmp_path):
     code = run_main("run", "--paths", "0", "--out", str(out))
     assert code == 2
     assert not out.exists()
+
+
+def test_uncreatable_out_is_a_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = run_main("run", "--paths", "10", "--horizon", "0.1", "--workers", "1",
+                    "--out", str(afile))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [afile]
+
+
+def test_failed_run_keeps_an_existing_out_directory(tmp_path, monkeypatch):
+    def fail(run_dir, config):
+        raise StochmechError("boom")
+
+    monkeypatch.setattr(cli, "_write_run", fail)
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert run_main("run", "--out", str(out / "a" / "b")) == 1
+    # the run created a/b and removes both; runs was there before and stays
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_oversized_dump_is_refused_before_any_artifact(tmp_path, capsys):
@@ -270,21 +297,21 @@ def test_verify_cli_small(capsys):
 
 def test_grid_custom_failure_is_reported_without_traceback(tmp_path, capsys):
     # the default grid's free drift meets a node near t = 2.47
-    out = tmp_path / "runs"
+    out = tmp_path / "new" / "runs"
     code = run_main("run", "--scenario", "grid-custom", "--horizon", "3",
-                    "--paths", "4", "--workers", "1", "--out", str(out))
+                    "--paths", "10", "--workers", "1", "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: simulation failed in paths 0..3: ")
+    assert err.startswith("error: simulation failed in paths 0..9: ")
     assert "Traceback" not in err
-    # not even the hidden directory the run was built in is left behind
-    assert not out.exists() or not any(out.iterdir())
+    # not the hidden directory the run was built in, nor the --out
+    # directories the run created on the way
+    assert not (tmp_path / "new").exists()
 
 
 def test_path_simulation_error_survives_pickling():
     # pool workers hand failures back to the parent by pickling them
     import pickle
-    from stochmech.errors import StochmechError
     from stochmech.momentum import PathSimulationError
     err = PathSimulationError([4, 5, 6], ValueError("node"))
     back = pickle.loads(pickle.dumps(err))

@@ -9,23 +9,24 @@ from stochmech import momentum, sde
 from stochmech import wavefunction as wf
 from stochmech.scenarios import Scenario
 
+OSC = Scenario(kind="oscillator-ground", nu=0.5)
 
-def make_pair(params, free_positions):
-    base = sde.SamplePath(times=params.times(),
-                          positions=np.zeros(params.steps + 1),
-                          increments=np.zeros(params.steps),
-                          params=params)
-    return sde.CoupledPair(base=base, free_positions=free_positions)
+
+def momentum_of(params, free_positions, policy):
+    """The policy's value for one free path, reduced as ``collect`` does."""
+    cp_idx = momentum._checkpoint_indices(params.steps, policy)
+    xf_cp = free_positions[cp_idx][:, None]
+    return float(momentum._reduce_checkpoints(xf_cp, cp_idx, params.dt, policy)[0])
 
 
 # ---------------------------------------------------------------------------
-# estimate_momentum
+# truncation policies
 # ---------------------------------------------------------------------------
 
 def test_ratio_policy_on_straight_line_path():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=0)
     v = 0.37
-    value = momentum.estimate_momentum(make_pair(params, v * params.times()), "ratio")
+    value = momentum_of(params, v * params.times(), "ratio")
     assert value == pytest.approx(v, abs=1e-14)
 
 
@@ -33,24 +34,21 @@ def test_extrapolated_policy_recovers_asymptote():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=8.0, seed=0)
     a, c = -0.82, 0.6
     free = a * params.times() + c        # ratio(T) = a + c / T exactly
-    value = momentum.estimate_momentum(make_pair(params, free), "extrapolated")
+    value = momentum_of(params, free, "extrapolated")
     assert value == pytest.approx(a, abs=1e-10)
-    ratio_value = momentum.estimate_momentum(make_pair(params, free), "ratio")
+    ratio_value = momentum_of(params, free, "ratio")
     assert ratio_value == pytest.approx(a + c / 8.0, abs=1e-12)
 
 
 def test_unknown_policy_rejected():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=0)
-    with pytest.raises(ValueError):
-        momentum.estimate_momentum(make_pair(params, params.times()), "midpoint")
+    with pytest.raises(ValueError, match="unknown policy"):
+        momentum.collect(OSC, params, 1, policy="midpoint")
 
 
 # ---------------------------------------------------------------------------
 # collect
 # ---------------------------------------------------------------------------
-
-OSC = Scenario(kind="oscillator-ground", nu=0.5)
-
 
 def test_collect_single_path_reproducible():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=99)
@@ -77,7 +75,7 @@ def test_collect_matches_per_path_estimates():
         x0 = sde.draw_initial(p, sampler)
         path = sde.integrate(interacting, x0, p)
         pair = sde.co_integrate((interacting, free), path)
-        direct = momentum.estimate_momentum(pair, "extrapolated")
+        direct = momentum_of(p, pair.free_positions, "extrapolated")
         assert ensemble.values[i] == direct
 
 
@@ -103,6 +101,21 @@ def test_collect_extras_and_provenance():
     # unit weights: accumulator equals the plain trapezoid time integral of x
     assert ensemble.extras["weighted_integrals"].shape == (4,)
     assert list(ensemble.path_indices) == [0, 1, 2, 3]
+
+
+def test_record_times_join_the_policy_checkpoints():
+    # T/4 is also an extrapolation checkpoint, so both ask for one kernel
+    # row; t = 0.3 is not, and shifts the rows of the later checkpoints
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=71)
+    times = [0.0, 0.3, 0.5, 2.0]
+    plain = momentum.collect(OSC, params, 5, policy="extrapolated", chunk_size=2)
+    recorded = momentum.collect(OSC, params, 5, policy="extrapolated", chunk_size=2,
+                                record_times=times)
+    assert np.array_equal(plain.values, recorded.values)
+    assert np.array_equal(plain.extras["x_final"], recorded.extras["x_final"])
+    assert np.array_equal(recorded.extras["recorded_times"], times)
+    assert np.array_equal(recorded.extras["recorded_x"][:, 0], recorded.extras["x0"])
+    assert np.array_equal(recorded.extras["recorded_x"][:, 3], recorded.extras["x_final"])
 
 
 def test_free_scenario_coupling_is_identity():

@@ -226,14 +226,15 @@ def test_batch_matches_single_path_bitwise(monkeypatch):
     interacting, free = oscillator_drift(nu), free_drift(nu)
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(
-        interacting, free, sampler, params, range(5), store_paths=True)
+        interacting, free, sampler, params, range(5),
+        record_indices=np.arange(params.steps + 1))
     for i in range(5):
         p = params.with_path_index(i)
         x0 = sde.draw_initial(p, sampler)
         path = sde.integrate(interacting, x0, p)
         pair = sde.co_integrate((interacting, free), path)
-        assert np.array_equal(chunk.positions[:, i], path.positions)
-        assert np.array_equal(chunk.free_positions[:, i], pair.free_positions)
+        assert np.array_equal(chunk.recorded_x[:, i], path.positions)
+        assert np.array_equal(chunk.recorded_xf[:, i], pair.free_positions)
 
 
 def test_block_size_does_not_change_the_ensemble(monkeypatch):
@@ -248,8 +249,8 @@ def test_block_size_does_not_change_the_ensemble(monkeypatch):
         monkeypatch.setattr(sde, "BLOCK", block)
         chunks.append(sde.simulate_coupled_ensemble(
             interacting, free, sampler, params, range(6),
-            checkpoint_indices=[512, 4096, 4097, 5000], time_weights=weights))
-    for name in ("x_final", "xf_final", "xf_checkpoints", "weighted_integral"):
+            record_indices=[512, 4096, 4097, 5000], time_weights=weights))
+    for name in ("recorded_x", "recorded_xf", "weighted_integral"):
         assert np.array_equal(getattr(chunks[0], name), getattr(chunks[1], name)), name
 
 
@@ -260,14 +261,16 @@ def test_batch_checkpoints_and_weights():
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     times = params.times()
     weights = np.exp(-times)
+    full = sde.simulate_coupled_ensemble(
+        interacting, free, sampler, params, range(4),
+        record_indices=np.arange(params.steps + 1), time_weights=weights)
     chunk = sde.simulate_coupled_ensemble(
         interacting, free, sampler, params, range(4),
-        checkpoint_indices=[250, 500, 1000], record_indices=[0, 700],
-        time_weights=weights, store_paths=True)
-    assert np.array_equal(chunk.xf_checkpoints[0], chunk.free_positions[250])
-    assert np.array_equal(chunk.xf_checkpoints[2], chunk.free_positions[1000])
-    assert np.array_equal(chunk.recorded_x[1], chunk.positions[700])
-    expected = np.trapezoid(weights[:, None] * chunk.positions, times, axis=0)
+        record_indices=[0, 250, 700, 1000], time_weights=weights)
+    assert np.array_equal(chunk.recorded_x, full.recorded_x[[0, 250, 700, 1000]])
+    assert np.array_equal(chunk.recorded_xf, full.recorded_xf[[0, 250, 700, 1000]])
+    assert np.array_equal(chunk.weighted_integral, full.weighted_integral)
+    expected = np.trapezoid(weights[:, None] * full.recorded_x, times, axis=0)
     assert np.allclose(chunk.weighted_integral, expected, atol=1e-12)
 
 
@@ -288,9 +291,10 @@ def test_scalar_and_batch_count_out_of_domain_alike():
     narrow_free = DriftField(kind="free", nu=0.5, evaluator=ZeroField(),
                              domain=(-0.05, 0.01))
     sampler = GaussianInitialSampler(sigma=0.02)
-    chunk = sde.simulate_coupled_ensemble(narrow, narrow_free, sampler, params, range(6))
+    chunk = sde.simulate_coupled_ensemble(narrow, narrow_free, sampler, params, range(6),
+                                          record_indices=[params.steps])
     assert np.all(chunk.ood_interacting > 0) and np.all(chunk.ood_free > 0)
-    assert np.any(np.isnan(chunk.x_final))
+    assert np.any(np.isnan(chunk.recorded_x[-1]))
     for i in range(6):
         p = params.with_path_index(i)
         path = sde.integrate(narrow, sde.draw_initial(p, sampler), p)
@@ -299,12 +303,22 @@ def test_scalar_and_batch_count_out_of_domain_alike():
         assert pair.ood_count_free == chunk.ood_free[i]
 
 
-@pytest.mark.parametrize("keyword", ["checkpoint_indices", "record_indices"])
-@pytest.mark.parametrize("bad", [-1, 101, 5000])
-def test_batch_rejects_indices_outside_the_run(keyword, bad):
+@pytest.mark.parametrize("bad", [-1, 101, 5000], ids=lambda bad: f"{bad}-record_indices")
+def test_batch_rejects_indices_outside_the_run(bad):
     params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, seed=59)
     field = oscillator_drift()
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     with pytest.raises(ValueError, match=f"index {bad} "):
         sde.simulate_coupled_ensemble(field, field, sampler, params, range(2),
-                                      **{keyword: [0, 100, bad]})
+                                      record_indices=[0, 100, bad])
+
+
+@pytest.mark.parametrize("rows", [[0, 50, 50], [0, 70, 30]])
+def test_batch_rejects_indices_that_do_not_increase(rows):
+    # rows are kept in the order asked for, walked by one cursor
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, seed=59)
+    field = oscillator_drift()
+    sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sde.simulate_coupled_ensemble(field, field, sampler, params, range(2),
+                                      record_indices=rows)

@@ -296,7 +296,11 @@ def cmd_density(args: argparse.Namespace) -> int:
     config = load_config(args)
     density = config.scenario_obj().target_density()
     if args.out is not None:
-        out_dir = tableio.ensure_dir(config.out)
+        try:
+            out_dir = tableio.ensure_dir(config.out)
+        except OSError as err:
+            raise ConfigError(f"out: cannot create the directory "
+                              f"{config.out!r}: {err.strerror}") from err
         path = os.path.join(out_dir, "density.tsv")
         wf.write_density(density, path)
         print(f"wrote {path}")

@@ -11,6 +11,7 @@ comparison path.  At a finite horizon two policies are offered:
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -79,11 +80,18 @@ class PathSimulationError(StochmechError):
         return type(self), (self.path_indices, self.cause)
 
 
+@functools.lru_cache(maxsize=1)
+def _setup(scenario: Scenario):
+    """(interacting, free, sampler) of a scenario, built once per process and
+    ``collect`` call, so the chunks of a process share the free drift's
+    slice cache.  ``collect`` clears it when it returns."""
+    return (*scenario.drift_fields(), scenario.initial_sampler())
+
+
 def _run_chunk(scenario: Scenario, params: sde.SimParams, indices: np.ndarray,
                record_indices: Sequence[int],
                time_weights: Optional[np.ndarray]) -> sde.EnsembleChunk:
-    interacting, free = scenario.drift_fields()
-    sampler = scenario.initial_sampler()
+    interacting, free, sampler = _setup(scenario)
     try:
         return sde.simulate_coupled_ensemble(
             interacting, free, sampler, params, indices,
@@ -126,11 +134,14 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
                for start in range(0, ensemble_size, chunk_size)]
     n = len(indices)
     columns = ([scenario] * n, [params] * n, indices, [rows] * n, [time_weights] * n)
-    if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, *columns))
-    else:
-        chunks = list(map(_run_chunk, *columns))
+    try:
+        if workers > 1 and n > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(_run_chunk, *columns))
+        else:
+            chunks = list(map(_run_chunk, *columns))
+    finally:
+        _setup.cache_clear()
 
     cp_rows = [row_of[k] for k in cp_idx.tolist()]
     values = np.concatenate([

@@ -333,7 +333,7 @@ def simulate_coupled_ensemble(
         m = min(BLOCK, steps - k)
         raw = np.empty((n, m))
         for i, rng in enumerate(rngs):
-            raw[i] = rng.standard_normal(m)
+            rng.standard_normal(out=raw[i])
         dw = np.ascontiguousarray(raw.T) * scale
         for knext, x, xf in zip(range(k + 1, k + m + 1),
                                 _euler(interacting, x, times[k:], dt, dw, ood_i),

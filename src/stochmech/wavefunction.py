@@ -305,16 +305,28 @@ class AnalyticDriftEvaluator:
 @dataclass(frozen=True)
 class GridInterpEvaluator:
     """Linear interpolation of tabulated drift values, extrapolating linearly
-    from the outermost two nodes beyond the table."""
+    from the outermost two nodes beyond the table.
+
+    ``xs`` must be uniform to a small fraction of its spacing, as
+    :meth:`WaveState.from_grid` ensures: the interval of x is guessed from
+    the spacing and corrected by one comparison each way.  The result is the
+    interval ``searchsorted(xs, x) - 1`` picks, clipped to the table (NaN
+    takes the last one).
+    """
 
     xs: np.ndarray
     values: np.ndarray
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.xs, x) - 1, 0, len(self.xs) - 2)
-        x0 = self.xs[i]
-        slope = (self.values[i + 1] - self.values[i]) / (self.xs[i + 1] - x0)
+        xs = self.xs
+        last = len(xs) - 2
+        guess = (x - xs[0]) * ((last + 1) / (xs[-1] - xs[0]))
+        i = np.fmax(np.fmin(guess, last), 0).astype(np.intp)
+        i += (i < last) & (xs[i + 1] < x)
+        i -= (i > 0) & (xs[i] >= x)
+        x0 = xs[i]
+        slope = (self.values[i + 1] - self.values[i]) / (xs[i + 1] - x0)
         return self.values[i] + slope * (x - x0)
 
 
@@ -323,8 +335,11 @@ class FreeGridDriftEvaluator:
 
     The initial spectrum is propagated to the requested time (exact spectral
     free evolution) and turned into a drift by :func:`drift`, so the slice is
-    a :class:`GridInterpEvaluator`.  Slices are cached per time value (large
-    enough that fixed-point sweeps over a short mesh hit the cache).
+    a :class:`GridInterpEvaluator`.  Slices are cached per time value, at
+    most ``_CACHE_SIZE`` (512) of them, oldest out first: fixed-point sweeps
+    over a short mesh hit the cache, and so do the ``momentum.collect``
+    chunks of one process, which share one evaluator, as long as a run has
+    at most 512 steps.
     """
 
     _CACHE_SIZE = 512

@@ -221,6 +221,16 @@ def test_density_to_file(tmp_path):
     assert list(cols) == ["p", "rho"]
 
 
+def test_density_out_onto_a_file_is_a_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run_main("density", "--out", str(afile)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out: ")
+    assert "Traceback" not in err
+    assert afile.read_text() == ""
+
+
 # ---------------------------------------------------------------------------
 # verify battery (reduced scale; acceptance runs the stated sizes)
 # ---------------------------------------------------------------------------

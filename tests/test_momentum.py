@@ -203,6 +203,40 @@ def test_grid_custom_collect_under_process_pool(tmp_path):
     assert np.array_equal(serial.values, pooled.values)
 
 
+def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
+    import dataclasses
+
+    fields_built = []
+    drifts_built = []
+    drift_fields, drift = Scenario.drift_fields, wf.drift
+
+    def counting_drift_fields(scenario):
+        fields_built.append(scenario.nu)
+        return drift_fields(scenario)
+
+    def counting_drift(state, nu):
+        drifts_built.append(state.time)
+        return drift(state, nu)
+
+    monkeypatch.setattr(Scenario, "drift_fields", counting_drift_fields)
+    monkeypatch.setattr(wf, "drift", counting_drift)
+    scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
+                        grid_points=1024)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.2, seed=43)
+    chunked = momentum.collect(scenario, params, 50, chunk_size=10, workers=1)
+    # five chunks, one drift pair: the interacting field and one free slice
+    # per step time, shared by every chunk
+    assert fields_built == [0.5]
+    assert len(drifts_built) == 1 + params.steps
+    whole = momentum.collect(scenario, params, 50, chunk_size=50)
+    assert np.array_equal(chunked.values.view(np.int64), whole.values.view(np.int64))
+    # the memo does not outlive a collect: another nu gets its own fields
+    other = dataclasses.replace(scenario, nu=0.25)
+    momentum.collect(other, dataclasses.replace(params, nu=0.25), 50, chunk_size=10)
+    assert fields_built == [0.5, 0.5, 0.25]
+    assert momentum._setup.cache_info().currsize == 0
+
+
 def test_grid_custom_drifts_match_analytic_oscillator():
     # the tabulated ground state must reproduce the analytic drift pair
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),

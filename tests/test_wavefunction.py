@@ -165,6 +165,53 @@ def test_grid_drift_extrapolates_linearly_outside_support():
     assert grid_field(9.0, 0.0) == pytest.approx(-2.0 * nu * 9.0, rel=1e-3)
 
 
+def _searchsorted_interp(ev, x):
+    """GridInterpEvaluator's interpolation with the interval found by binary
+    search, the reference for its uniform-spacing lookup."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(ev.xs, x) - 1, 0, len(ev.xs) - 2)
+    x0 = ev.xs[i]
+    slope = (ev.values[i + 1] - ev.values[i]) / (ev.xs[i + 1] - x0)
+    return ev.values[i] + slope * (x - x0)
+
+
+def _jittered_state(tmp_path):
+    """The default-grid ground state on a grid uniform only to from_grid's
+    tolerance, round-tripped through write_state / read_state."""
+    state = wf.to_grid(wf.harmonic_ground_state())
+    jitter = np.random.default_rng(5).uniform(-4e-10, 4e-10, len(state.grid))
+    x = state.grid + jitter * state.spacing
+    path = tmp_path / "jittered.tsv"
+    wf.write_state(wf.WaveState.from_grid(x, state.amplitude), path)
+    back = wf.read_state(path)
+    assert not np.array_equal(back.grid, state.grid)
+    return back
+
+
+@pytest.mark.parametrize("source", ["default", "jittered"])
+@pytest.mark.parametrize("t", [None, 0.0, 0.1, 0.25, 1.0, 2.0])
+def test_grid_lookup_matches_binary_search_bit_for_bit(source, t, tmp_path, monkeypatch):
+    # t None: the interacting field; otherwise the free slice at time t
+    state = (wf.to_grid(wf.harmonic_ground_state()) if source == "default"
+             else _jittered_state(tmp_path))
+    if t is None:
+        ev = wf.drift(state, 0.5).evaluator
+    else:
+        ev = wf.free_drift_field_from_grid(state, 0.5).evaluator._slice(t)
+    lo, hi = ev.xs[0], ev.xs[-1]
+    x = np.concatenate([
+        np.random.default_rng(3).uniform(lo - 5.0, hi + 5.0, 10 ** 5),
+        ev.xs, np.nextafter(ev.xs, -np.inf), np.nextafter(ev.xs, np.inf),
+        [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300]])
+    want = _searchsorted_interp(ev, x)
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "searchsorted", None)      # the lookup must not call it
+        got = ev(x, t)
+        scalars = np.array([ev(v, t) for v in x[-7:]])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(scalars.view(np.int64), want[-7:].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # propagate_free
 # ---------------------------------------------------------------------------

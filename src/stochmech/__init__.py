@@ -10,27 +10,7 @@ from .errors import (
     StochmechError,
     TooFewSamples,
 )
-from .wavefunction import (
-    DriftField,
-    MomentumDensity,
-    WaveState,
-    decompose,
-    drift,
-    free_gaussian_state,
-    harmonic_ground_state,
-    momentum_density,
-    propagate_free,
-)
-from .sde import (
-    CoupledPair,
-    SamplePath,
-    SimParams,
-    co_integrate,
-    integrate,
-    picard_solve,
-    wiener_increments,
-)
-from .oscillator import OscillatorScenario
+from .sde import SimParams
 from .scenarios import Scenario
 from .momentum import (
     MomentumEnsemble,
@@ -41,11 +21,6 @@ from .momentum import (
 __all__ = [
     "ConfigError", "GridTooNarrowWarning", "NoConvergence", "NodeEncountered",
     "StochmechError", "TooFewSamples",
-    "DriftField", "MomentumDensity", "WaveState", "decompose", "drift",
-    "free_gaussian_state", "harmonic_ground_state",
-    "momentum_density", "propagate_free",
-    "CoupledPair", "SamplePath", "SimParams", "co_integrate", "integrate",
-    "picard_solve", "wiener_increments",
-    "OscillatorScenario", "Scenario",
+    "SimParams", "Scenario",
     "MomentumEnsemble", "PathSimulationError", "collect",
 ]

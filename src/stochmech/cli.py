@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,6 +35,19 @@ from .scenarios import SCENARIO_KINDS, Scenario
 DUMP_BATCH = 8
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value read from a JSON config has the field type ``hint``;
+    a float must be finite, and a bool is not a number."""
+    args = get_args(hint)
+    if type(None) in args:                              # Optional[X]
+        return value is None or _fits(value, args[0])
+    if get_origin(hint) is tuple:
+        return type(value) is list and len(value) == len(args) and all(map(_fits, value, args))
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
 
 
 @dataclass
@@ -55,17 +69,23 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config: invalid JSON ({err})") from err
+        except OSError as err:
+            raise ConfigError(f"config: cannot read {str(path)!r}: {err.strerror}") from err
+        except ValueError as err:           # JSON syntax or text encoding
+            raise ConfigError(f"config: invalid JSON ({err})") from err
         if not isinstance(payload, dict):
             raise ConfigError("config: top level must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        hints = get_type_hints(cls)
+        unknown = set(payload) - set(hints)
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+        for name, value in payload.items():
+            if not _fits(value, hints[name]):
+                raise ConfigError(f"{name}: expected {cls.__annotations__[name]}, "
+                                  f"got {value!r}")
         if "grid_extent" in payload:
             payload["grid_extent"] = tuple(payload["grid_extent"])
         return cls(**payload)
@@ -89,8 +109,16 @@ class ScenarioConfig:
             raise ConfigError("grid_extent: lower bound must be below upper bound")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
-        if self.state_file is not None and not os.path.exists(self.state_file):
-            raise ConfigError(f"state_file: {self.state_file!r} does not exist")
+        if self.state_file is not None:
+            try:
+                wf.read_state(self.state_file)
+            except OSError as err:
+                raise ConfigError(f"state_file: cannot read {self.state_file!r}: "
+                                  f"{err.strerror}") from err
+            except KeyError as err:
+                raise ConfigError(f"state_file: {self.state_file!r} has no {err} column") from err
+            except ValueError as err:
+                raise ConfigError(f"state_file: {self.state_file!r}: {err}") from err
         try:
             params = self.sim_params()
         except ValueError as err:

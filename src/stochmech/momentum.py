@@ -36,7 +36,6 @@ class MomentumEnsemble:
     values: np.ndarray
     path_indices: np.ndarray
     horizon_used: float
-    estimator: str
     provenance: dict
     extras: dict = field(default_factory=dict)
 
@@ -169,7 +168,7 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         extras["recorded_x"] = x[[row_of[k] for k in recorded]].T
 
     provenance = {
-        "scenario": scenario.scenario_id,
+        "scenario": scenario.kind,
         "nu": params.nu,
         "dt": params.dt,
         "horizon": params.horizon,
@@ -181,5 +180,5 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
                                "ratio bias is O(1/horizon)",
     }
     return MomentumEnsemble(values=values, path_indices=path_indices,
-                            horizon_used=params.horizon, estimator=policy,
-                            provenance=provenance, extras=extras)
+                            horizon_used=params.horizon, provenance=provenance,
+                            extras=extras)

@@ -56,10 +56,6 @@ class Scenario:
         if self.nu <= 0:
             raise ConfigError("nu: must be positive")
 
-    @property
-    def scenario_id(self) -> str:
-        return self.kind
-
     def initial_state(self) -> wf.WaveState:
         if self.kind == "oscillator-ground":
             return wf.harmonic_ground_state(time=self.t0)

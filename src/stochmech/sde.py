@@ -104,10 +104,6 @@ class SamplePath:
     params: SimParams
     ood_count: int = 0
 
-    @property
-    def dt(self) -> float:
-        return self.params.dt
-
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -116,10 +112,6 @@ class CoupledPair:
     base: SamplePath
     free_positions: np.ndarray
     ood_count_free: int = 0
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.base.times
 
 
 def _euler(drift: DriftField, x, times, dt: float, dw, ood):
@@ -176,44 +168,17 @@ def co_integrate(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath) -
     return CoupledPair(base=base, free_positions=xf, ood_count_free=int(ood))
 
 
-def _evaluate_along(drift: DriftField, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """b(x_k, t_k) along a path; falls back to a per-step loop for evaluators
-    that need a scalar time (grid-backed free propagation)."""
-    try:
-        out = np.asarray(drift.evaluator(xs, ts), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except TypeError:
-        pass
-    return np.array([float(drift.evaluator(xs[k], ts[k])) for k in range(len(xs))])
-
-
-def _cumulative_quadrature(g: np.ndarray, dt: float, scheme: str) -> np.ndarray:
-    if scheme == "euler":
-        out = np.empty_like(g)
-        out[0] = 0.0
-        np.cumsum(g[:-1] * dt, out=out[1:])
-        return out
-    if scheme == "trapezoid":
-        out = np.empty_like(g)
-        out[0] = 0.0
-        np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, out=out[1:])
-        return out
-    raise ValueError(f"unknown quadrature scheme {scheme!r}")
-
-
 def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
-                 tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER,
-                 quadrature: str = "euler"):
+                 tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER):
     """Fixed-point construction of the free path from the integral relation
 
         x_F(t) = x(t) + int_{t0}^{t} [b_F(x_F, s) - b(x, s)] ds
 
-    iterated from x_F = x, with the integral discretized on the path mesh.
-    The default left-endpoint ("euler") rule has the co-integration recursion
-    as its exact fixed point, so both solvers agree to solver tolerance; the
-    "trapezoid" rule matches the integral form more closely but its fixed
-    point sits O(dt) away from the co-integrated path.
+    iterated from x_F = x, with the integral discretized on the path mesh by
+    the left-endpoint rule.  That rule has the co-integration recursion as
+    its exact fixed point, so both solvers agree to solver tolerance.  Both
+    drifts are evaluated along the whole path at once, so they must accept
+    an array of times, one per position.
 
     Returns (CoupledPair, iterations, residual_history).  Raises
     NoConvergence if the sup-norm update never drops below ``tol``.
@@ -222,12 +187,14 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
     x = base.positions
     times = base.times
     dt = base.params.dt
-    b_base = _evaluate_along(interacting, x, times)
+    b_base = interacting(x, times)
+    integral = np.zeros_like(x)
     y = x.copy()
     history = []
     for iteration in range(1, max_iter + 1):
-        g = _evaluate_along(free, y, times) - b_base
-        y_new = x + _cumulative_quadrature(g, dt, quadrature)
+        g = free(y, times) - b_base
+        np.cumsum(g[:-1] * dt, out=integral[1:])
+        y_new = x + integral
         residual = float(np.max(np.abs(y_new - y)))
         history.append(residual)
         y = y_new

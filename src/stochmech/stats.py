@@ -21,8 +21,8 @@ class Histogram:
     density: np.ndarray
 
     @classmethod
-    def from_samples(cls, samples, bins=64, range=None):
-        counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins, range=range)
+    def from_samples(cls, samples, bins=64):
+        counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins)
         widths = np.diff(edges)
         total = counts.sum()
         density = counts / (total * widths) if total > 0 else np.zeros_like(widths)
@@ -34,7 +34,6 @@ class KSResult:
     statistic: float
     n: int
     pvalue: float
-    n2: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def ks_two_sample(a, b) -> KSResult:
     cdf2 = np.searchsorted(b, pooled, side="right") / n2
     d = float(np.max(np.abs(cdf1 - cdf2)))
     en = math.sqrt(n1 * n2 / (n1 + n2))
-    return KSResult(statistic=d, n=n1, n2=n2, pvalue=kolmogorov_sf(en * d))
+    return KSResult(statistic=d, n=n1, pvalue=kolmogorov_sf(en * d))
 
 
 def moments(samples) -> MomentsResult:
@@ -122,9 +121,8 @@ class AutocovariancePoint:
     stderr: float
 
 
-def autocovariance(paths: np.ndarray, dt: float, lags: Sequence[float],
-                   t_ref: float = 0.0) -> list:
-    """Cross-path covariance estimates E[x(t_ref) x(t_ref + lag)].
+def autocovariance(paths: np.ndarray, dt: float, lags: Sequence[float]) -> list:
+    """Cross-path covariance estimates E[x(s) x(s + lag)], s the first sample.
 
     ``paths`` holds one path per row sampled every ``dt``.  The estimator
     averages the product across paths (the processes here are centered by
@@ -132,13 +130,12 @@ def autocovariance(paths: np.ndarray, dt: float, lags: Sequence[float],
     """
     paths = np.asarray(paths, dtype=float)
     m, n_times = paths.shape
-    i_ref = round(t_ref / dt)
     out = []
     for lag in lags:
-        j = round((t_ref + lag) / dt)
-        if not (0 <= i_ref < n_times and 0 <= j < n_times):
+        j = round(lag / dt)
+        if not 0 <= j < n_times:
             raise ValueError(f"lag {lag} falls outside the sampled range")
-        prod = paths[:, i_ref] * paths[:, j]
+        prod = paths[:, 0] * paths[:, j]
         out.append(AutocovariancePoint(
             lag=float(lag),
             estimate=float(np.mean(prod)),

@@ -56,9 +56,12 @@ def read_table(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
-            raise ValueError(f"{path}: empty table")
+            raise ValueError("empty table")
         names = header.split("\t")
-        rows = [line.split("\t") for line in fh if line.strip()]
+        rows = [line.rstrip("\r\n").split("\t") for line in fh if line.strip()]
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise ValueError(f"row {number} has {len(row)} cells, the header {len(names)}")
     data = np.array(rows, dtype=float)
     if data.size == 0:
         data = data.reshape(0, len(names))

@@ -125,7 +125,7 @@ def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
                                 workers=workers)
     scen = oscillator.OscillatorScenario(nu=nu)
     points = stats.autocovariance(ensemble.extras["recorded_x"], dt=sample_spacing,
-                                  lags=AUTOCOV_LAGS, t_ref=0.0)
+                                  lags=AUTOCOV_LAGS)
     worst_sigma = 0.0
     for pt in points:
         target = float(oscillator.ou_covariance(0.0, pt.lag, scen))

@@ -42,13 +42,11 @@ class ZeroField:
 
 @dataclass(frozen=True)
 class HarmonicLogAmp:
-    """R(x) = -x^2/2 (+ normalization constant), ground state of V = x^2/2."""
-
-    offset: float = 0.0
+    """R(x) = -x^2/2 - log(pi)/4: the unit-norm ground state of V = x^2/2."""
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
-        return -0.5 * x * x + self.offset
+        return -0.5 * x * x + (-0.25 * math.log(math.pi))
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,12 @@ class GaussianLogAmp:
     """R of the freely spreading Gaussian: -x^2 / (2 (1 + tau^2)) + const(tau)."""
 
     t0: float
-    normalized: bool
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         tau = t - self.t0
-        r = -0.5 * x * x / (1.0 + tau * tau)
-        if self.normalized:
-            r = r - 0.25 * math.log(math.pi) - 0.25 * math.log1p(tau * tau)
-        return r
+        return (-0.5 * x * x / (1.0 + tau * tau)
+                - 0.25 * math.log(math.pi) - 0.25 * math.log1p(tau * tau))
 
 
 @dataclass(frozen=True)
@@ -78,15 +73,11 @@ class GaussianPhase:
     """S of the freely spreading Gaussian: x^2 tau / (2 (1 + tau^2)) + const(tau)."""
 
     t0: float
-    normalized: bool
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         tau = t - self.t0
-        s = 0.5 * x * x * tau / (1.0 + tau * tau)
-        if self.normalized:
-            s = s - 0.5 * math.atan(tau)
-        return s
+        return 0.5 * x * x * tau / (1.0 + tau * tau) - 0.5 * math.atan(tau)
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,6 @@ class WaveState:
 
     representation: str
     time: float
-    potential: str = "free"
     grid: Optional[np.ndarray] = None
     amplitude: Optional[np.ndarray] = None
     log_amp: Optional[Callable] = None
@@ -133,32 +123,30 @@ class WaveState:
     dphase: Optional[Callable] = None
 
     @classmethod
-    def from_grid(cls, x, amplitude, time=0.0, potential="custom", normalize=True):
+    def from_grid(cls, x, amplitude, time=0.0):
+        """A grid state scaled to h * sum |psi|^2 = 1; ValueError unless
+        ``x`` is a finite, increasing, uniform grid of at least 4 points and
+        ``amplitude`` is finite and not all zero."""
         x = np.asarray(x, dtype=float)
         amplitude = np.asarray(amplitude, dtype=complex)
         if x.ndim != 1 or x.shape != amplitude.shape:
             raise ValueError("grid and amplitude must be matching 1-d arrays")
         if len(x) < 4:
             raise ValueError("grid too short")
+        if not (np.isfinite(x).all() and np.isfinite(amplitude).all()):
+            raise ValueError("grid and amplitude must be finite")
         h = x[1] - x[0]
-        if not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12):
-            raise ValueError("grid spacing must be uniform")
-        if normalize:
-            norm = math.sqrt(h * float(np.sum(np.abs(amplitude) ** 2)))
-            if norm == 0.0:
-                raise ValueError("cannot normalize a zero amplitude")
-            amplitude = amplitude / norm
-        return cls(representation="grid", time=float(time), potential=potential,
-                   grid=x, amplitude=amplitude)
+        if not (h > 0 and np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12)):
+            raise ValueError("grid spacing must be uniform and positive")
+        norm = math.sqrt(h * float(np.sum(np.abs(amplitude) ** 2)))
+        if norm == 0.0:
+            raise ValueError("cannot normalize a zero amplitude")
+        return cls(representation="grid", time=float(time), grid=x,
+                   amplitude=amplitude / norm)
 
     @property
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-    @property
-    def norm(self) -> float:
-        """h * sum |psi|^2 for grid states."""
-        return self.spacing * float(np.sum(np.abs(self.amplitude) ** 2))
 
     def psi(self, x):
         """Evaluate the amplitude of an analytic state at positions x."""
@@ -169,58 +157,35 @@ class WaveState:
         return np.exp(r + 1j * s)
 
 
-def harmonic_ground_state(time=0.0, normalized=True) -> WaveState:
+def harmonic_ground_state(time=0.0) -> WaveState:
     """Ground state of V = x^2/2; drift is -2 nu x, independent of time."""
-    offset = -0.25 * math.log(math.pi) if normalized else 0.0
     return WaveState(
-        representation="analytic", time=float(time), potential="harmonic",
-        log_amp=HarmonicLogAmp(offset), phase=ZeroField(),
+        representation="analytic", time=float(time),
+        log_amp=HarmonicLogAmp(), phase=ZeroField(),
         dlog_amp=HarmonicLogAmpGrad(), dphase=ZeroField(),
     )
 
 
-def free_gaussian_state(time=0.0, t0=0.0, normalized=True) -> WaveState:
+def free_gaussian_state(time=0.0, t0=0.0) -> WaveState:
     """Freely spreading Gaussian whose profile at t0 matches the oscillator ground state."""
     return WaveState(
-        representation="analytic", time=float(time), potential="free",
-        log_amp=GaussianLogAmp(t0, normalized), phase=GaussianPhase(t0, normalized),
+        representation="analytic", time=float(time),
+        log_amp=GaussianLogAmp(t0), phase=GaussianPhase(t0),
         dlog_amp=GaussianLogAmpGrad(t0), dphase=GaussianPhaseGrad(t0),
     )
 
 
 def to_grid(state: WaveState, extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """Sample an analytic state onto a uniform grid (normalized)."""
+    """Sample an analytic state onto a uniform grid (unit norm)."""
     if state.representation == "grid":
         return state
     x = np.linspace(extent[0], extent[1], points)
-    return WaveState.from_grid(x, state.psi(x), time=state.time,
-                               potential=state.potential, normalize=True)
+    return WaveState.from_grid(x, state.psi(x), time=state.time)
 
 
 # ---------------------------------------------------------------------------
-# Decomposition psi = exp(R + i S)
+# Drift fields
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Decomposition:
-    """R and S fields of a state; callables for analytic states, arrays on the
-    support subgrid for grid states."""
-
-    representation: str
-    R: object
-    S: object
-    x: Optional[np.ndarray] = None
-    support: Optional[slice] = None
-
-
-@dataclass(frozen=True)
-class _AtTime:
-    fn: Callable
-    t: float
-
-    def __call__(self, x):
-        return self.fn(x, self.t)
-
 
 def _support_bounds(mags: np.ndarray) -> Tuple[int, int]:
     """Contiguous index range where |psi| (``mags``) exceeds the node threshold.
@@ -251,46 +216,6 @@ def _unwrap_from(angles: np.ndarray, center: int) -> np.ndarray:
         out[:center] = angles[center] - back
     return out
 
-
-def decompose(state: WaveState, region=None) -> Decomposition:
-    """Split psi into (R, S) with exp(R + i S) = psi.
-
-    For grid states the evaluation region defaults to the contiguous range
-    where |psi| clears the node threshold; an explicit ``region=(a, b)``
-    demands the amplitude clear the threshold on all of it.  S is
-    phase-unwrapped along the grid, anchored at the node closest to the grid
-    center.
-    """
-    if state.representation == "analytic":
-        return Decomposition(
-            representation="analytic",
-            R=_AtTime(state.log_amp, state.time),
-            S=_AtTime(state.phase, state.time),
-        )
-    amps = state.amplitude
-    x = state.grid
-    mags = np.abs(amps)
-    thr = NODE_THRESHOLD * float(mags.max())
-    if region is not None:
-        sel = (x >= region[0]) & (x <= region[1])
-        idx = np.nonzero(sel)[0]
-        if len(idx) == 0:
-            raise ValueError("evaluation region contains no grid points")
-        if not (mags[idx] > thr).all():
-            raise NodeEncountered("amplitude at/below node threshold in evaluation region")
-        lo, hi = int(idx[0]), int(idx[-1])
-    else:
-        lo, hi = _support_bounds(mags)
-    sub = slice(lo, hi + 1)
-    R = np.log(mags[sub])
-    center = int(np.clip(len(x) // 2 - lo, 0, hi - lo))
-    S = _unwrap_from(np.angle(amps[sub]), center)
-    return Decomposition(representation="grid", R=R, S=S, x=x[sub], support=sub)
-
-
-# ---------------------------------------------------------------------------
-# Drift fields
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AnalyticDriftEvaluator:
@@ -377,18 +302,15 @@ class FreeGridDriftEvaluator:
 
 @dataclass(frozen=True)
 class DriftField:
-    """Evaluator (position, time) -> drift, tagged with its dynamics kind.
+    """Evaluator (position, time) -> drift.
 
     ``domain`` is the x range the evaluator was tabulated on (grid-backed
     fields only); integrators count excursions beyond it as out-of-domain
     diagnostics.  Instances are immutable and safe to share across paths.
     """
 
-    kind: str                  # "interacting" | "free"
-    nu: float
     evaluator: Callable
     domain: Optional[Tuple[float, float]] = None
-    label: str = ""
 
     def __call__(self, x, t):
         return self.evaluator(x, t)
@@ -398,31 +320,37 @@ def drift(state: WaveState, nu: float) -> DriftField:
     """Drift field b = 2 nu dR/dx + dS/dx of a state.
 
     Analytic states yield closed-form evaluators (time dependent for the free
-    Gaussian family).  Grid states yield central-difference gradients on the
-    support subgrid, interpolated linearly and extrapolated linearly outside;
-    such a field is frozen at the state's time, so it serves stationary
-    dynamics or one time slice of a moving state (FreeGridDriftEvaluator).
+    Gaussian family).  Grid states are split as psi = exp(R + i S) on their
+    support, the contiguous range where |psi| clears the node threshold
+    (NodeEncountered if a node lies inside it), with S phase-unwrapped
+    outward from the grid center.  Central-difference gradients of R and S
+    there are interpolated linearly and extrapolated linearly outside; such
+    a field is frozen at the state's time, so it serves stationary dynamics
+    or one time slice of a moving state (FreeGridDriftEvaluator).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    kind = "free" if state.potential == "free" else "interacting"
     if state.representation == "analytic":
-        ev = AnalyticDriftEvaluator(nu, state.dlog_amp, state.dphase)
-        return DriftField(kind=kind, nu=nu, evaluator=ev, label=state.potential)
-    dec = decompose(state)
+        return DriftField(AnalyticDriftEvaluator(nu, state.dlog_amp, state.dphase))
+    amps = state.amplitude
+    mags = np.abs(amps)
+    lo, hi = _support_bounds(mags)
+    sub = slice(lo, hi + 1)
+    R = np.log(mags[sub])
+    center = int(np.clip(len(amps) // 2 - lo, 0, hi - lo))
+    S = _unwrap_from(np.angle(amps[sub]), center)
     h = state.spacing
-    b = (2.0 * nu * np.gradient(dec.R, h, edge_order=2)
-         + np.gradient(dec.S, h, edge_order=2))
-    ev = GridInterpEvaluator(xs=dec.x, values=b)
-    return DriftField(kind=kind, nu=nu, evaluator=ev,
-                      domain=(float(dec.x[0]), float(dec.x[-1])), label=state.potential)
+    b = (2.0 * nu * np.gradient(R, h, edge_order=2)
+         + np.gradient(S, h, edge_order=2))
+    xs = state.grid[sub]
+    return DriftField(GridInterpEvaluator(xs=xs, values=b),
+                      domain=(float(xs[0]), float(xs[-1])))
 
 
 def free_drift_field_from_grid(state: WaveState, nu: float) -> DriftField:
     """Time-dependent free drift for a grid initial state (spectral propagation)."""
     ev = FreeGridDriftEvaluator(state, nu)
-    return DriftField(kind="free", nu=nu, evaluator=ev,
-                      domain=(float(ev.x[0]), float(ev.x[-1])), label="grid-free")
+    return DriftField(ev, domain=(float(ev.x[0]), float(ev.x[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +378,7 @@ def propagate_free(initial: WaveState, t: float,
         warnings.warn(
             f"relative boundary amplitude {edge:.2e} exceeds {BOUNDARY_AMPLITUDE:.0e}; "
             "widen the grid extent", GridTooNarrowWarning)
-    return WaveState(representation="grid", time=float(t), potential=state.potential,
-                     grid=state.grid, amplitude=out)
+    return WaveState(representation="grid", time=float(t), grid=state.grid, amplitude=out)
 
 
 @dataclass
@@ -467,34 +394,22 @@ class MomentumDensity:
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (self.density[1:] + self.density[:-1]) * widths)))
         self._cdf = cdf
 
-    @property
-    def integral(self) -> float:
-        return float(self._cdf[-1])
-
     def cdf(self, values):
-        """Cumulative distribution at ``values`` (normalized to end at 1)."""
+        """Cumulative distribution at ``values`` (scaled to end at 1)."""
         return np.interp(values, self.p, self._cdf / self._cdf[-1], left=0.0, right=1.0)
 
-    def ppf(self, u):
-        """Inverse CDF by linear interpolation (for sampling from the density)."""
-        return np.interp(u, self._cdf / self._cdf[-1], self.p)
 
-    def variance(self) -> float:
-        mean = np.trapezoid(self.p * self.density, self.p) / self.integral
-        return float(np.trapezoid((self.p - mean) ** 2 * self.density, self.p) / self.integral)
-
-
-def momentum_density(initial: WaveState, pad_factor=4,
+def momentum_density(initial: WaveState,
                      extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> MomentumDensity:
     """Momentum density of the t0 state via the discrete Fourier transform.
 
     psi_hat(P) = integral exp(-i P x) psi(x) dx approximated as h times the
-    DFT; zero padding by ``pad_factor`` refines the P resolution so the
-    numeric CDF is accurate enough for distribution tests.
+    DFT; zero padding to four times the grid length refines the P resolution
+    so the numeric CDF is accurate enough for distribution tests.
     """
     state = initial if initial.representation == "grid" else to_grid(initial, extent, points)
     amp = state.amplitude
-    n = len(amp) * int(pad_factor)
+    n = len(amp) * 4
     h = state.spacing
     padded = np.concatenate([amp, np.zeros(n - len(amp), dtype=complex)])
     p = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=h))
@@ -516,10 +431,9 @@ def write_state(state: WaveState, path) -> None:
     })
 
 
-def read_state(path, time=0.0, potential="custom", normalize=True) -> WaveState:
+def read_state(path, time=0.0) -> WaveState:
     cols = tableio.read_table(path)
-    return WaveState.from_grid(cols["x"], cols["re_psi"] + 1j * cols["im_psi"],
-                               time=time, potential=potential, normalize=normalize)
+    return WaveState.from_grid(cols["x"], cols["re_psi"] + 1j * cols["im_psi"], time=time)
 
 
 def write_density(density: MomentumDensity, path) -> None:

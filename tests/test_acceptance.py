@@ -145,7 +145,8 @@ def test_criterion_9_spectral_propagator():
         out = wf.propagate_free(initial, tau)
         exact = wf.free_gaussian_state(time=tau, t0=0.0).psi(initial.grid)
         worst = max(worst, float(np.max(np.abs(out.amplitude - exact))))
-        norm_drift = max(norm_drift, abs(out.norm - 1.0))
+        norm = out.spacing * float(np.sum(np.abs(out.amplitude) ** 2))
+        norm_drift = max(norm_drift, abs(norm - 1.0))
     passed = worst < 1e-6 and norm_drift < 1e-10
     report(9, passed,
            f"max pointwise |spectral - closed form| = {worst:.2e}, "

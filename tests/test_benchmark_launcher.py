@@ -1,12 +1,15 @@
-"""Smoke test of the benchmark launcher: the entry points it wraps by name
-must still exist and still step the paths it counts."""
+"""Smoke test of the benchmark: the entry points the launcher wraps by name
+must still exist and still step the paths it counts, and the node probe of
+``perfbench/run.py`` must still run on the package's exports."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAUNCH = PERFBENCH / "launch.py"
 PATHS, STEPS = 16, 50
 
 
@@ -33,3 +36,13 @@ def test_untraced_run_marks_the_first_step(tmp_path):
     done = launch(tmp_path)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.glob("first_step.*"))
+
+
+def test_first_node_probe_finds_the_default_grid_node(monkeypatch):
+    # the free drift of the default grid meets a node at t = 2.47
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)    # its dataclasses look it up
+    monkeypatch.setattr(sys, "path", list(sys.path))    # it prepends src/
+    spec.loader.exec_module(run)
+    assert run.first_node_t() == 2.47

@@ -61,6 +61,78 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         cli.ScenarioConfig.from_file(cfg_path)
 
 
+@pytest.mark.parametrize("payload,field", [
+    (None, "config"),                           # no such file
+    ({"paths": "ten"}, "paths"),
+    ({"grid_extent": [1]}, "grid_extent"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"nu": "0.5"}, "nu"),
+    ({"t0": float("nan")}, "t0"),
+    ({"dump_paths": "yes"}, "dump_paths"),
+    ({"state_file": 3}, "state_file"),
+])
+def test_config_file_values_are_type_checked(tmp_path, capsys, payload, field):
+    cfg_path = tmp_path / "config.json"
+    if payload is not None:
+        cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "runs"
+    code = run_main("run", "--config", str(cfg_path), "--paths", "10", "--horizon", "0.1",
+                    "--workers", "1", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_accepts_its_own_echo(tmp_path):
+    # the manifest's config echo, null workers included, reads back as is
+    config = cli.ScenarioConfig(grid_extent=(-10, 10.5), state_file=None, workers=None)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    assert cli.ScenarioConfig.from_file(cfg_path) == config
+
+
+def _state_table(x, re_psi, im_psi=None):
+    im_psi = np.zeros(len(x)) if im_psi is None else im_psi
+    return "x\tre_psi\tim_psi\n" + "".join(f"{a}\t{b}\t{c}\n" for a, b, c in zip(x, re_psi, im_psi))
+
+
+GRID = np.linspace(-4.0, 4.0, 16)
+PSI = np.exp(-0.5 * GRID * GRID)
+BAD_STATE_FILES = {
+    "no-im_psi-column": "x\tre_psi\n" + "".join(f"{a}\t{b}\n" for a, b in zip(GRID, PSI)),
+    "non-numeric-cell": _state_table(GRID, PSI, ["abc"] + [0.0] * 15),
+    "short-row": _state_table(GRID, PSI).replace("\t0.0\n", "\n", 1),
+    "short-rows": _state_table(GRID, PSI).replace("\t0.0\n", "\n"),
+    "nan-amplitude": _state_table(GRID, np.where(GRID > 0, np.nan, PSI)),
+    "inf-grid-point": _state_table(np.append(GRID[:-1], np.inf), PSI),
+    "non-uniform-grid": _state_table(GRID ** 3, PSI),
+    "decreasing-grid": _state_table(GRID[::-1], PSI),
+    "three-rows": _state_table(GRID[:3], PSI[:3]),
+    "zero-amplitude": _state_table(GRID, np.zeros(16)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STATE_FILES))
+@pytest.mark.parametrize("command", ["run", "density"])
+def test_bad_state_file_is_a_config_error(tmp_path, capsys, command, case):
+    state_path = tmp_path / "state.tsv"
+    state_path.write_text(BAD_STATE_FILES[case])
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"scenario": "grid-custom", "state_file": str(state_path),
+                                    "paths": 10, "horizon": 0.1, "workers": 1,
+                                    "out": str(out)}))
+    assert run_main(command, "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: state_file: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_invalid_paths_leaves_no_artifacts(tmp_path):
     out = tmp_path / "runs"
     code = run_main("run", "--paths", "0", "--out", str(out))

@@ -177,19 +177,6 @@ def test_free_scenario_variance_tracks_quantum_spreading():
     assert abs(sample_var - expected) < 4.0 * expected * np.sqrt(2.0 / m)
 
 
-def test_picard_on_grid_custom_free_drift():
-    # exercises the scalar-time fallback of the fixed-point solver
-    scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
-                        grid_points=1024)
-    interacting, free = scenario.drift_fields()
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=37)
-    path = sde.integrate(interacting, 0.3, params)
-    direct = sde.co_integrate((interacting, free), path)
-    pair, iterations, history = sde.picard_solve((interacting, free), path)
-    assert np.max(np.abs(pair.free_positions - direct.free_positions)) < 1e-8
-    assert history[-1] < 1e-10
-
-
 def test_grid_custom_collect_under_process_pool(tmp_path):
     from stochmech import wavefunction as wf
     state_path = tmp_path / "state.tsv"

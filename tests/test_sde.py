@@ -20,8 +20,8 @@ def free_drift(nu=0.5):
     return wf.drift(wf.free_gaussian_state(time=0.0, t0=0.0), nu)
 
 
-def zero_drift(nu=0.5):
-    return DriftField(kind="interacting", nu=nu, evaluator=ZeroField())
+def zero_drift():
+    return DriftField(ZeroField())
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +97,7 @@ def test_zero_drift_gives_pure_wiener_path():
 
 def test_integrate_counts_out_of_domain_excursions():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=2)
-    narrow = DriftField(kind="interacting", nu=0.5, evaluator=ZeroField(),
-                        domain=(-0.01, 0.01))
+    narrow = DriftField(ZeroField(), domain=(-0.01, 0.01))
     path = sde.integrate(narrow, 0.0, params)
     assert path.ood_count > 0
 
@@ -190,20 +189,6 @@ def test_picard_agrees_with_co_integration():
         assert np.all(ratios < 0.9)
 
 
-def test_picard_trapezoid_fixed_point_is_order_dt_from_euler():
-    interacting, free = oscillator_drift(), free_drift()
-    devs = {}
-    for dt in (1e-3, 5e-4):
-        params = sde.SimParams(nu=0.5, dt=dt, horizon=10.0, seed=23)
-        path = sde.integrate(interacting, 0.5, params)
-        direct = sde.co_integrate((interacting, free), path)
-        pair, _, _ = sde.picard_solve((interacting, free), path,
-                                      quadrature="trapezoid")
-        devs[dt] = np.max(np.abs(pair.free_positions - direct.free_positions))
-    assert 0.05e-3 < devs[1e-3] < 20e-3
-    assert 1.5 < devs[1e-3] / devs[5e-4] < 3.0
-
-
 def test_picard_raises_no_convergence():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=10.0, seed=29)
     interacting, free = oscillator_drift(), free_drift()
@@ -276,8 +261,7 @@ def test_batch_checkpoints_and_weights():
 
 def test_batch_out_of_domain_diagnostics():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=47)
-    narrow = DriftField(kind="interacting", nu=0.5, evaluator=ZeroField(),
-                        domain=(-0.005, 0.005))
+    narrow = DriftField(ZeroField(), domain=(-0.005, 0.005))
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(narrow, narrow, sampler, params, range(3))
     assert np.all(chunk.ood_interacting > 0)
@@ -286,10 +270,8 @@ def test_batch_out_of_domain_diagnostics():
 def test_scalar_and_batch_count_out_of_domain_alike():
     # one rule everywhere: x < lo or x > hi, so a NaN position is not counted
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=53)
-    narrow = DriftField(kind="interacting", nu=0.5, domain=(-0.02, 0.03),
-                        evaluator=lambda x, t: np.where(x > 0.05, np.nan, 0.0))
-    narrow_free = DriftField(kind="free", nu=0.5, evaluator=ZeroField(),
-                             domain=(-0.05, 0.01))
+    narrow = DriftField(lambda x, t: np.where(x > 0.05, np.nan, 0.0), domain=(-0.02, 0.03))
+    narrow_free = DriftField(ZeroField(), domain=(-0.05, 0.01))
     sampler = GaussianInitialSampler(sigma=0.02)
     chunk = sde.simulate_coupled_ensemble(narrow, narrow_free, sampler, params, range(6),
                                           record_indices=[params.steps])

@@ -1,4 +1,4 @@
-"""Wave-state construction, decomposition, drift, propagation, momentum density."""
+"""Wave-state construction, the R/S split behind drift, propagation, momentum density."""
 
 import math
 
@@ -9,75 +9,40 @@ from stochmech import wavefunction as wf
 from stochmech.errors import GridTooNarrowWarning, NodeEncountered
 
 
+def _norm(state):
+    """h * sum |psi|^2 of a grid state."""
+    return state.spacing * float(np.sum(np.abs(state.amplitude) ** 2))
+
+
 # ---------------------------------------------------------------------------
-# decompose
+# psi = exp(R + i S)
 # ---------------------------------------------------------------------------
-
-def test_decompose_ground_state_closed_form():
-    state = wf.harmonic_ground_state(normalized=False)
-    dec = wf.decompose(state)
-    x = np.linspace(-3.0, 3.0, 41)
-    assert np.allclose(dec.R(x), -0.5 * x * x, atol=1e-12)
-    assert np.allclose(dec.S(x), 0.0, atol=1e-12)
-
-
-def test_decompose_constant_patch():
-    x = np.linspace(0.0, 1.0, 64)
-    state = wf.WaveState.from_grid(x, np.ones_like(x), normalize=False)
-    dec = wf.decompose(state)
-    assert np.allclose(dec.R, 0.0, atol=1e-14)
-    assert np.allclose(dec.S, 0.0, atol=1e-14)
-
 
 def test_decompose_free_gaussian_at_unit_elapsed_time():
-    # unnormalized spreading Gaussian at tau = 1: R = -x^2/4, S = x^2/4
-    state = wf.free_gaussian_state(time=1.0, t0=0.0, normalized=False)
-    dec = wf.decompose(state)
+    # spreading Gaussian at tau = 1: R = -x^2/4 - log(2 pi)/4, S = x^2/4 - pi/8
+    state = wf.free_gaussian_state(time=1.0, t0=0.0)
     x = np.linspace(-4.0, 4.0, 33)
-    assert np.allclose(dec.R(x), -x * x / 4.0, atol=1e-12)
-    assert np.allclose(dec.S(x), x * x / 4.0, atol=1e-12)
-
-
-def test_decompose_reconstructs_analytic_state():
-    state = wf.free_gaussian_state(time=0.7, t0=0.0)
-    dec = wf.decompose(state)
-    x = np.linspace(-6.0, 6.0, 201)
-    rebuilt = np.exp(dec.R(x) + 1j * dec.S(x))
-    assert np.max(np.abs(rebuilt - state.psi(x))) < 1e-10
-
-
-def test_decompose_reconstructs_grid_state():
-    grid_state = wf.to_grid(wf.free_gaussian_state(time=0.7), points=1024)
-    dec = wf.decompose(grid_state)
-    rebuilt = np.exp(dec.R + 1j * dec.S)
-    assert np.max(np.abs(rebuilt - grid_state.amplitude[dec.support])) < 1e-8
+    assert np.allclose(state.log_amp(x, state.time),
+                       -x * x / 4.0 - 0.25 * math.log(2.0 * math.pi), atol=1e-12)
+    assert np.allclose(state.phase(x, state.time), x * x / 4.0 - math.pi / 8.0, atol=1e-12)
 
 
 def test_decompose_unwraps_phase_along_grid():
+    # S = q x wraps many times across the support; a missed unwrap would put
+    # a spike of about 2 pi / h into the drift -2 nu x + q at that node
     x = np.linspace(-10.0, 10.0, 2048)
-    q = 2.0
+    nu, q = 0.5, 2.0
     state = wf.WaveState.from_grid(x, np.exp(-0.5 * x * x + 1j * q * x))
-    dec = wf.decompose(state)
-    diffs = np.diff(dec.S)
-    assert np.all(diffs > -np.pi) and np.all(diffs <= np.pi)
-    # S should be q x up to one overall constant
-    assert np.max(np.abs((dec.S - dec.S[0]) - q * (dec.x - dec.x[0]))) < 1e-8
+    field = wf.drift(state, nu)
+    xs = field.evaluator.xs
+    assert np.max(np.abs(field(xs, 0.0) - (-2.0 * nu * xs + q))) < 1e-9
 
 
 def test_decompose_raises_on_interior_node():
     x = np.linspace(-10.0, 10.0, 101)   # contains x = 0 exactly
     state = wf.WaveState.from_grid(x, x * np.exp(-0.5 * x * x))
-    with pytest.raises(NodeEncountered):
-        wf.decompose(state)
-    with pytest.raises(NodeEncountered):
-        wf.decompose(state, region=(-1.0, 1.0))
-
-
-def test_decompose_region_restricts_evaluation():
-    x = np.linspace(-10.0, 10.0, 101)
-    state = wf.WaveState.from_grid(x, x * np.exp(-0.5 * x * x))
-    dec = wf.decompose(state, region=(0.5, 3.0))
-    assert dec.x[0] >= 0.5 and dec.x[-1] <= 3.0
+    with pytest.raises(NodeEncountered, match="amplitude node inside the evaluation region"):
+        wf.drift(state, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +54,6 @@ def test_ground_state_drift_is_linear_restoring():
     field = wf.drift(wf.harmonic_ground_state(), nu)
     x = np.linspace(-5.0, 5.0, 21)
     assert np.allclose(field(x, 0.0), -2.0 * nu * x, atol=1e-12)
-    assert field.kind == "interacting"
 
 
 def test_ground_state_drift_nu_half():
@@ -111,17 +75,16 @@ def test_free_gaussian_drift_matches_finite_differences():
     nu = 0.6
     state = wf.free_gaussian_state(time=1.3, t0=0.0)
     field = wf.drift(state, nu)
-    dec = wf.decompose(state)
     x = np.linspace(-3.0, 3.0, 25)
     h = 1e-6
-    dr = (dec.R(x + h) - dec.R(x - h)) / (2.0 * h)
-    ds = (dec.S(x + h) - dec.S(x - h)) / (2.0 * h)
+    dr = (state.log_amp(x + h, state.time) - state.log_amp(x - h, state.time)) / (2.0 * h)
+    ds = (state.phase(x + h, state.time) - state.phase(x - h, state.time)) / (2.0 * h)
     assert np.max(np.abs(field(x, 1.3) - (2.0 * nu * dr + ds))) < 1e-8
 
 
 def test_constant_state_has_zero_drift():
     x = np.linspace(0.0, 1.0, 64)
-    state = wf.WaveState.from_grid(x, np.ones_like(x), normalize=False)
+    state = wf.WaveState.from_grid(x, np.ones_like(x))
     field = wf.drift(state, 0.5)
     assert np.allclose(field(np.array([0.2, 0.5, 0.8]), 0.0), 0.0, atol=1e-12)
 
@@ -227,7 +190,7 @@ def test_spectral_propagation_matches_closed_form(tau):
     out = wf.propagate_free(initial, tau)
     exact = wf.free_gaussian_state(time=tau, t0=0.0).psi(initial.grid)
     assert np.max(np.abs(out.amplitude - exact)) < 1e-6
-    assert abs(out.norm - 1.0) < 1e-10
+    assert abs(_norm(out) - 1.0) < 1e-10
 
 
 def test_propagation_is_time_reversible():
@@ -235,7 +198,7 @@ def test_propagation_is_time_reversible():
     forward = wf.propagate_free(initial, 1.5)
     back = wf.propagate_free(forward, 0.0)
     assert np.max(np.abs(back.amplitude - initial.amplitude)) < 1e-9
-    assert abs(forward.norm - initial.norm) < 1e-10
+    assert abs(_norm(forward) - _norm(initial)) < 1e-10
 
 
 def test_propagation_warns_when_grid_too_narrow():
@@ -253,8 +216,11 @@ def test_momentum_density_of_gaussian():
     density = wf.momentum_density(wf.harmonic_ground_state())
     expected = np.exp(-density.p ** 2) / math.sqrt(math.pi)
     assert np.max(np.abs(density.density - expected)) < 1e-6
-    assert abs(density.integral - 1.0) < 1e-6
-    assert density.variance() == pytest.approx(0.5, abs=1e-6)
+    p, rho = density.p, density.density
+    integral = np.trapezoid(rho, p)
+    variance = np.trapezoid(p * p * rho, p) / integral
+    assert abs(integral - 1.0) < 1e-6
+    assert variance == pytest.approx(0.5, abs=1e-6)
     assert np.all(density.density >= 0.0)
 
 
@@ -274,12 +240,6 @@ def test_momentum_density_shifts_under_modulation():
     density = wf.momentum_density(state)
     expected = np.exp(-(density.p - q) ** 2) / math.sqrt(math.pi)
     assert np.max(np.abs(density.density - expected)) < 1e-6
-
-
-def test_momentum_density_cdf_ppf_roundtrip():
-    density = wf.momentum_density(wf.harmonic_ground_state())
-    u = np.linspace(0.01, 0.99, 33)
-    assert np.allclose(density.cdf(density.ppf(u)), u, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +264,7 @@ def test_make_free_state_spreads_like_gaussian_family():
 def test_make_grid_state_is_normalized():
     state = wf.to_grid(wf.harmonic_ground_state(), points=1024)
     assert state.representation == "grid"
-    assert abs(state.norm - 1.0) < 1e-10
+    assert abs(_norm(state) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,11 @@ class ScenarioConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
         if self.state_file is not None:
+            if self.scenario != "grid-custom":
+                raise ConfigError(f"state_file: only grid-custom reads a state file, "
+                                  f"not {self.scenario}")
             try:
-                wf.read_state(self.state_file)
+                self.scenario_obj().initial_state()
             except OSError as err:
                 raise ConfigError(f"state_file: cannot read {self.state_file!r}: "
                                   f"{err.strerror}") from err
@@ -205,8 +208,9 @@ def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
             interacting, free, sampler, params,
             range(start, min(start + DUMP_BATCH, config.paths)),
             record_indices=np.arange(params.steps + 1))
-        for j, index in enumerate(batch.path_indices):
-            dw = sde.wiener_increments(params.with_path_index(int(index)))
+        noise = sde.path_rngs(params.seed, batch.path_indices, sde.STREAM_NOISE)
+        for j, (index, rng) in enumerate(zip(batch.path_indices, noise)):
+            dw = params.noise_scale * rng.standard_normal(params.steps)
             tableio.write_table(os.path.join(dump_dir, f"path_{index:05d}.tsv"), {
                 "t": times,
                 "x": batch.recorded_x[:, j],

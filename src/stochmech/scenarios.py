@@ -7,7 +7,9 @@ function of its fields.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -40,6 +42,13 @@ class GridInitialSampler:
         return float(np.interp(rng.random(), self.cdf, self.x))
 
 
+@functools.lru_cache(maxsize=1)
+def _read_state(path: str, time: float, mtime_ns: int, size: int) -> wf.WaveState:
+    """The state file at ``path``, read once per process while its
+    modification time and size stay the same."""
+    return wf.read_state(path, time=time)
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: str
@@ -62,7 +71,8 @@ class Scenario:
         if self.kind == "free-gaussian":
             return wf.free_gaussian_state(time=self.t0, t0=self.t0)
         if self.state_file is not None:
-            return wf.read_state(self.state_file, time=self.t0)
+            stat = os.stat(self.state_file)
+            return _read_state(self.state_file, self.t0, stat.st_mtime_ns, stat.st_size)
         return wf.to_grid(wf.harmonic_ground_state(time=self.t0),
                           extent=self.grid_extent, points=self.grid_points)
 

@@ -10,14 +10,19 @@ Randomness is stream split: path ``i`` of master seed ``s`` draws its
 increments from the PCG64 stream keyed by ``SeedSequence(s, spawn_key=(i, 0))``
 and its initial position from ``spawn_key=(i, 1)``, so every path is a pure
 function of (seed, path index) regardless of batching or worker schedule.
+:func:`path_rngs` seeds all the streams of a chunk in one vectorised pass
+of numpy's SeedSequence hash; the tests check its words and draws against
+``np.random.SeedSequence`` itself, so the streams are exactly those above.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NoConvergence
 from .wavefunction import DriftField
@@ -60,6 +65,11 @@ class SimParams:
     def steps(self) -> int:
         return round(self.horizon / self.dt)
 
+    @property
+    def noise_scale(self) -> float:
+        """Standard deviation of one Wiener increment, sqrt(2 nu dt)."""
+        return np.sqrt(2.0 * self.nu * self.dt)
+
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.steps + 1) * self.dt
 
@@ -68,16 +78,118 @@ class SimParams:
                          t0=self.t0, seed=self.seed, path_index=path_index)
 
 
+# ---------------------------------------------------------------------------
+# Streams
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words, the entropy hash and the output hash.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a uint32 word (an int or a uint32 array);
+    returns the hashed word and the next hash constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool: list, word, const: int):
+    """Mix one more entropy word into every pool word."""
+    out = []
+    for p in pool:
+        hashed, const = _hashmix(word, const)
+        out.append(_mix(p, hashed))
+    return out, const
+
+
+def _pcg64_seeds(seed: int, path_indices, stream: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i, stream)).generate_state(4, np.uint64)``
+    for every ``i`` of ``path_indices``, as an (n, 4) uint64 array.
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size,
+    then the spawn key's words: i's low word, its high word when i >= 2**32,
+    and the stream.  The seed part of the pool, and every hash constant,
+    are the same for all paths, so only the spawn words are mixed per path.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    idx = np.asarray(path_indices, dtype=np.int64).reshape(-1)
+    if np.any(idx < 0):
+        raise ValueError("path indices must be non-negative")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        pool, const = _absorb(pool, word, const)
+
+    low = (idx & _MASK32).astype(np.uint32)
+    high = (idx >> 32).astype(np.uint32)
+    wide = high != 0
+    pool = [np.full(len(idx), p, dtype=np.uint32) for p in pool]
+    pool, const = _absorb(pool, low, const)
+    pool, const = _absorb(pool, np.where(wide, high, np.uint32(stream)), const)
+    if wide.any():
+        last, _ = _absorb(pool, np.full(len(idx), stream, dtype=np.uint32), const)
+        pool = [np.where(wide, a, b) for a, b in zip(last, pool)]
+
+    const = _INIT_B
+    state = []
+    for k in range(8):                  # the 4 uint64 words as 8 uint32 halves
+        hashed, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
+    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)],
+                    axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """A precomputed SeedSequence state, handed to ``PCG64`` so that numpy's
+    own seeding routine turns it into the generator state."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words               # PCG64 asks for (4, np.uint64) only
+
+
+def path_rngs(seed: int, path_indices, stream: int = STREAM_NOISE):
+    """Generators of the (seed, i, stream) streams for every path index
+    ``i``, in order, made one at a time as the iterator is advanced; each
+    is the one ``SeedSequence(seed, spawn_key=(i, stream))`` seeds."""
+    words = _pcg64_seeds(seed, path_indices, stream)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
+
+
 def path_rng(seed: int, path_index: int, stream: int = STREAM_NOISE) -> np.random.Generator:
     """Independent generator for one (seed, path, stream) triple."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index, stream))
-    return np.random.Generator(np.random.PCG64(ss))
+    return next(path_rngs(seed, [path_index], stream))
 
 
 def wiener_increments(params: SimParams) -> np.ndarray:
     """The path's Wiener increments: i.i.d. N(0, 2 nu dt), reproducible."""
     rng = path_rng(params.seed, params.path_index, STREAM_NOISE)
-    return np.sqrt(2.0 * params.nu * params.dt) * rng.standard_normal(params.steps)
+    return params.noise_scale * rng.standard_normal(params.steps)
 
 
 def draw_initial(params: SimParams, sampler: Callable) -> float:
@@ -263,7 +375,7 @@ def simulate_coupled_ensemble(
     steps = params.steps
     dt = params.dt
     times = params.times()
-    scale = np.sqrt(2.0 * params.nu * params.dt)
+    scale = params.noise_scale
 
     rec = np.asarray(record_indices, dtype=int)
     outside = rec[(rec < 0) | (rec > steps)]
@@ -272,8 +384,8 @@ def simulate_coupled_ensemble(
     if np.any(rec[1:] <= rec[:-1]):
         raise ValueError("record indices must be strictly increasing")
 
-    rngs = [path_rng(params.seed, int(i), STREAM_NOISE) for i in idx]
-    x0 = np.array([draw_initial(params.with_path_index(int(i)), sampler) for i in idx])
+    rngs = list(path_rngs(params.seed, idx, STREAM_NOISE))
+    x0 = np.array([float(sampler(rng)) for rng in path_rngs(params.seed, idx, STREAM_INITIAL)])
 
     x = xf = x0
     rec_x = np.empty((len(rec), n))

@@ -40,9 +40,11 @@ def _oscillator_fields(nu: float):
 def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     """Increments (steps, n_paths) and initial positions of paths
     0..n_paths-1, each from its own streams, for the batch integrators."""
-    per_path = [params.with_path_index(i) for i in range(n_paths)]
-    dw = np.stack([sde.wiener_increments(p) for p in per_path], axis=1)
-    x0 = np.array([sde.draw_initial(p, sampler) for p in per_path])
+    noise = sde.path_rngs(params.seed, range(n_paths), sde.STREAM_NOISE)
+    dw = np.stack([rng.standard_normal(params.steps) for rng in noise], axis=1)
+    dw *= params.noise_scale
+    initial = sde.path_rngs(params.seed, range(n_paths), sde.STREAM_INITIAL)
+    x0 = np.array([float(sampler(rng)) for rng in initial])
     return dw, x0
 
 

@@ -1,12 +1,18 @@
 """Smoke test of the benchmark: the entry points the launcher wraps by name
-must still exist and still step the paths it counts, and the node probe of
-``perfbench/run.py`` must still run on the package's exports."""
+must still exist and still step the paths it counts, the node probe of
+``perfbench/run.py`` must still run on the package's exports, and the
+workloads run at one worker must reproduce their golden ensembles."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from stochmech import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAUNCH = PERFBENCH / "launch.py"
@@ -38,11 +44,29 @@ def test_untraced_run_marks_the_first_step(tmp_path):
     assert list(tmp_path.glob("first_step.*"))
 
 
-def test_first_node_probe_finds_the_default_grid_node(monkeypatch):
-    # the free drift of the default grid meets a node at t = 2.47
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py`` as a module, for its workloads and goldens."""
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)    # its dataclasses look it up
     monkeypatch.setattr(sys, "path", list(sys.path))    # it prepends src/
     spec.loader.exec_module(run)
-    assert run.first_node_t() == 2.47
+    return run
+
+
+def test_first_node_probe_finds_the_default_grid_node(bench):
+    # the free drift of the default grid meets a node at t = 2.47
+    assert bench.first_node_t() == 2.47
+
+
+@pytest.mark.parametrize("workload", ["grid-run", "path-dump"])
+def test_workload_ensemble_matches_its_golden(bench, tmp_path, workload):
+    # the benchmark's config at its golden seed, on one worker, through the CLI:
+    # pins the per-path stream contract bit for bit
+    seed = bench.GOLDEN["seed"]
+    cli_args = bench.WORKLOADS[workload].cli_args(seed, workers=1)
+    assert cli.main([*cli_args, "--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    digest = hashlib.sha256((run_dir / "ensemble.tsv").read_bytes()).hexdigest()
+    assert digest == bench.GOLDEN["ensemble_sha256"][workload]

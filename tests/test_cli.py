@@ -38,7 +38,8 @@ def test_config_rejects_bad_fields(tmp_path):
     with pytest.raises(ConfigError, match="nu"):
         cli.ScenarioConfig(nu=-1.0).validate()
     with pytest.raises(ConfigError, match="state_file"):
-        cli.ScenarioConfig(state_file=str(tmp_path / "missing.tsv")).validate()
+        cli.ScenarioConfig(scenario="grid-custom",
+                           state_file=str(tmp_path / "missing.tsv")).validate()
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -400,6 +401,43 @@ def test_path_simulation_error_survives_pickling():
     assert isinstance(back, StochmechError)
     assert back.path_indices == (4, 6)
     assert str(back) == str(err) == "simulation failed in paths 4..6: node"
+
+
+@pytest.mark.parametrize("scenario", ["oscillator-ground", "free-gaussian"])
+def test_state_file_of_an_analytic_scenario_is_a_config_error(tmp_path, capsys, scenario):
+    state_path = tmp_path / "state.tsv"
+    state_path.write_text(_state_table(GRID, PSI))
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"scenario": scenario, "state_file": str(state_path),
+                                    "paths": 10, "horizon": 0.1, "workers": 1,
+                                    "out": str(out)}))
+    assert run_main("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: state_file: ")
+    assert not out.exists()
+
+
+def test_grid_custom_run_reads_its_state_file_once(tmp_path, monkeypatch):
+    from stochmech import wavefunction as wf
+    state_path = tmp_path / "state.tsv"
+    wf.write_state(wf.to_grid(wf.harmonic_ground_state(), extent=(-25.0, 25.0), points=512),
+                   state_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "grid-custom", "state_file": str(state_path), "grid_points": 512,
+        "paths": 10, "horizon": 0.2, "workers": 1, "out": str(tmp_path / "runs"),
+    }))
+    reads = []
+    read_table = tableio.read_table
+
+    def counted(path):
+        reads.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(tableio, "read_table", counted)
+    assert run_main("run", "--config", str(cfg_path), "--dump-paths") == 0
+    assert reads == [str(state_path)]
 
 
 def test_grid_custom_run_from_state_file(tmp_path):

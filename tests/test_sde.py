@@ -76,6 +76,58 @@ def test_initial_draw_independent_of_increments():
 
 
 # ---------------------------------------------------------------------------
+# stream seeding
+# ---------------------------------------------------------------------------
+
+def seed_sequence_rng(seed, index, stream):
+    """The stream contract's reference route, one SeedSequence per stream."""
+    ss = np.random.SeedSequence(seed, spawn_key=(index, stream))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("indices", [[0], [2**32 - 1], [2**32],
+                                     list(range(2**32 - 3, 2**32 + 3))])
+@pytest.mark.parametrize("stream", [sde.STREAM_NOISE, sde.STREAM_INITIAL])
+def test_path_rngs_match_seed_sequence(seed, indices, stream):
+    words = sde._pcg64_seeds(seed, indices, stream)
+    rngs = list(sde.path_rngs(seed, indices, stream))
+    assert len(words) == len(rngs) == len(indices)
+    for row, rng, index in zip(words, rngs, indices):
+        ss = np.random.SeedSequence(seed, spawn_key=(index, stream))
+        assert np.array_equal(row, ss.generate_state(4, np.uint64))
+        expected = seed_sequence_rng(seed, index, stream).standard_normal(1000)
+        assert np.array_equal(rng.standard_normal(1000), expected)
+
+
+def test_path_rngs_refuse_negative_keys():
+    with pytest.raises(ValueError):
+        sde.path_rngs(-1, [0])
+    with pytest.raises(ValueError):
+        sde.path_rngs(0, [3, -1])
+
+
+def test_ensemble_kernel_builds_no_seed_sequence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel built a SeedSequence")
+
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=0.5, seed=5)
+    interacting, free = oscillator_drift(), free_drift()
+    sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    chunk = sde.simulate_coupled_ensemble(interacting, free, sampler, params, range(6),
+                                          record_indices=[0, params.steps])
+    monkeypatch.undo()
+    for i in range(6):
+        x0 = sampler(seed_sequence_rng(5, i, sde.STREAM_INITIAL))
+        dw = params.noise_scale * seed_sequence_rng(5, i, sde.STREAM_NOISE).standard_normal(
+            params.steps)
+        path = sde.integrate(interacting, x0, params, increments=dw)
+        assert chunk.recorded_x[0, i] == x0
+        assert chunk.recorded_x[1, i] == path.positions[-1]
+
+
+# ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
 

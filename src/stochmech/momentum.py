@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class PathSimulationError(StochmechError):
 @functools.lru_cache(maxsize=1)
 def _setup(scenario: Scenario):
     """(interacting, free, sampler) of a scenario, built once per process and
-    ``collect`` call, so the chunks of a process share the free drift's
-    slice cache.  ``collect`` clears it when it returns."""
+    ``run_jobs`` call, so the chunks of a process share the free drift's
+    slice cache.  ``run_jobs`` clears it when it returns."""
     return (*scenario.drift_fields(), scenario.initial_sampler())
 
 
@@ -99,20 +99,78 @@ def _run_chunk(scenario: Scenario, params: sde.SimParams, indices: np.ndarray,
         raise PathSimulationError(indices, err) from err
 
 
-def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-            policy: str = "ratio", workers: int = 1,
-            chunk_size: int = DEFAULT_CHUNK,
-            time_weights: Optional[np.ndarray] = None,
-            record_times: Optional[Sequence[float]] = None) -> MomentumEnsemble:
-    """Reduce ``ensemble_size`` independent coupled paths to momentum samples.
+def run_jobs(jobs: Sequence[Callable], workers: int = 1) -> list:
+    """The results of the picklable zero-argument callables ``jobs``, in order.
 
-    Paths are simulated in chunks, optionally across a process pool; each path
-    is a pure function of (seed, path index), so the result is identical for
-    any worker count or chunk size.  ``time_weights`` adds a per-path running
-    trapezoid accumulator of sum w(t) x(t) dt (extras["weighted_integrals"]);
-    ``record_times`` stores interacting positions at those times
-    (extras["recorded_x"], one row per path).
+    With ``workers > 1`` and more than one job they run on a process pool of
+    ``workers`` processes, never more than there are jobs; otherwise in this
+    process.  The first job to raise has its error raised here, and the jobs
+    still queued behind it are cancelled.
     """
+    try:
+        if workers > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+                futures = [pool.submit(job) for job in jobs]
+                try:
+                    return [future.result() for future in futures]
+                except BaseException:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
+        return [job() for job in jobs]
+    finally:
+        _setup.cache_clear()
+
+
+@dataclass(frozen=True)
+class EnsemblePlan:
+    """The chunk jobs of one ensemble, and what reducing their results needs.
+
+    ``jobs`` are contiguous chunks of paths 0..M-1 in order; ``rows`` are the
+    step indices the kernel keeps x and x_F at.
+    """
+
+    jobs: list
+    params: sde.SimParams
+    policy: str
+    checkpoints: np.ndarray
+    rows: list
+    record_indices: list
+    weighted: bool
+    provenance: dict
+
+    def reduce(self, chunks: Sequence[sde.EnsembleChunk]) -> MomentumEnsemble:
+        """The ensemble from the results of ``jobs``, in job order."""
+        row_of = {k: j for j, k in enumerate(self.rows)}
+        cp_rows = [row_of[k] for k in self.checkpoints.tolist()]
+        values = np.concatenate([
+            _reduce_checkpoints(ch.recorded_xf[cp_rows], self.checkpoints,
+                                self.params.dt, self.policy)
+            for ch in chunks])
+        x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)
+        extras = {
+            "x0": x[0],
+            "x_final": x[-1],
+            "xf_final": np.concatenate([ch.recorded_xf[-1] for ch in chunks]),
+            "out_of_domain": np.concatenate([ch.ood_interacting + ch.ood_free
+                                             for ch in chunks]),
+        }
+        if self.weighted:
+            extras["weighted_integrals"] = np.concatenate(
+                [ch.weighted_integral for ch in chunks])
+        if self.record_indices:
+            extras["recorded_times"] = (self.params.t0
+                                        + np.asarray(self.record_indices) * self.params.dt)
+            extras["recorded_x"] = x[[row_of[k] for k in self.record_indices]].T
+        return MomentumEnsemble(
+            values=values, path_indices=np.concatenate([ch.path_indices for ch in chunks]),
+            horizon_used=self.params.horizon, provenance=self.provenance, extras=extras)
+
+
+def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
+         policy: str = "ratio", chunk_size: int = DEFAULT_CHUNK,
+         time_weights: Optional[np.ndarray] = None,
+         record_times: Optional[Sequence[float]] = None) -> EnsemblePlan:
+    """The chunk jobs of ``collect`` for these arguments, not yet run."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     if policy not in POLICIES:
@@ -127,46 +185,10 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
     # the kernel keeps these rows of x and x_F: step 0, the policy's
     # checkpoints, the horizon and the record times
     rows = sorted({0, params.steps, *cp_idx.tolist(), *record_indices})
-    row_of = {k: j for j, k in enumerate(rows)}
-
-    indices = [np.arange(start, min(start + chunk_size, ensemble_size))
-               for start in range(0, ensemble_size, chunk_size)]
-    n = len(indices)
-    columns = ([scenario] * n, [params] * n, indices, [rows] * n, [time_weights] * n)
-    try:
-        if workers > 1 and n > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_run_chunk, *columns))
-        else:
-            chunks = list(map(_run_chunk, *columns))
-    finally:
-        _setup.cache_clear()
-
-    cp_rows = [row_of[k] for k in cp_idx.tolist()]
-    values = np.concatenate([
-        _reduce_checkpoints(ch.recorded_xf[cp_rows], cp_idx, params.dt, policy)
-        for ch in chunks])
-    path_indices = np.concatenate([ch.path_indices for ch in chunks])
-    order = np.argsort(path_indices)
-    values = values[order]
-    path_indices = path_indices[order]
-    x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)[:, order]
-
-    extras = {
-        "x0": x[0],
-        "x_final": x[-1],
-        "xf_final": np.concatenate([ch.recorded_xf[-1] for ch in chunks])[order],
-        "out_of_domain": (np.concatenate([ch.ood_interacting for ch in chunks])[order]
-                          + np.concatenate([ch.ood_free for ch in chunks])[order]),
-    }
-    if time_weights is not None:
-        extras["weighted_integrals"] = np.concatenate(
-            [ch.weighted_integral for ch in chunks])[order]
-    if record_indices:
-        recorded = sorted(record_indices)
-        extras["recorded_times"] = params.t0 + np.asarray(recorded) * params.dt
-        extras["recorded_x"] = x[[row_of[k] for k in recorded]].T
-
+    jobs = [functools.partial(_run_chunk, scenario, params,
+                              np.arange(start, min(start + chunk_size, ensemble_size)),
+                              rows, time_weights)
+            for start in range(0, ensemble_size, chunk_size)]
     provenance = {
         "scenario": scenario.kind,
         "nu": params.nu,
@@ -179,6 +201,26 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         "finite_horizon_note": "momentum read off at finite horizon; "
                                "ratio bias is O(1/horizon)",
     }
-    return MomentumEnsemble(values=values, path_indices=path_indices,
-                            horizon_used=params.horizon, provenance=provenance,
-                            extras=extras)
+    return EnsemblePlan(jobs=jobs, params=params, policy=policy, checkpoints=cp_idx,
+                        rows=rows, record_indices=sorted(record_indices),
+                        weighted=time_weights is not None, provenance=provenance)
+
+
+def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
+            policy: str = "ratio", workers: int = 1,
+            chunk_size: int = DEFAULT_CHUNK,
+            time_weights: Optional[np.ndarray] = None,
+            record_times: Optional[Sequence[float]] = None) -> MomentumEnsemble:
+    """Reduce ``ensemble_size`` independent coupled paths to momentum samples.
+
+    Paths are simulated in chunks, optionally across a process pool; each path
+    is a pure function of (seed, path index), so the result is identical for
+    any worker count or chunk size.  ``time_weights`` adds a per-path running
+    trapezoid accumulator of sum w(t) x(t) dt (extras["weighted_integrals"]);
+    ``record_times`` stores interacting positions at those times
+    (extras["recorded_x"], one row per path).  This is ``plan``, ``run_jobs``
+    and ``EnsemblePlan.reduce`` for one ensemble.
+    """
+    ensemble = plan(scenario, params, ensemble_size, policy, chunk_size,
+                    time_weights, record_times)
+    return ensemble.reduce(run_jobs(ensemble.jobs, workers))

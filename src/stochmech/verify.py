@@ -7,6 +7,7 @@ sizes, back the acceptance test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ from .scenarios import Scenario
 
 AUTOCOV_LAGS = (0.0, 0.5, 1.0, 2.0)
 AUTOCOV_T_REF = 1.0
+AUTOCOV_SPACING = 0.5
 
 
 @dataclass
@@ -116,17 +118,22 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
                        data={"gap": worst_gap, "ratio": worst_ratio})
 
 
-def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
-                         seed: int = 3000, workers: int = 1) -> CheckResult:
-    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma."""
-    scenario = Scenario(kind="oscillator-ground", nu=nu)
-    sample_spacing = 0.5
-    record_times = [AUTOCOV_T_REF + i * sample_spacing for i in range(5)]
+def _autocov_request(nu, dt, m, seed) -> dict:
+    """``momentum.collect`` arguments of the OU record of ``check_autocovariance``."""
+    record_times = [AUTOCOV_T_REF + i * AUTOCOV_SPACING for i in range(5)]
     params = sde.SimParams(nu=nu, dt=dt, horizon=record_times[-1], seed=seed)
-    ensemble = momentum.collect(scenario, params, m, record_times=record_times,
-                                workers=workers)
+    return dict(scenario=Scenario(kind="oscillator-ground", nu=nu), params=params,
+                ensemble_size=m, record_times=record_times)
+
+
+def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
+                         seed: int = 3000, workers: int = 1,
+                         ensemble: momentum.MomentumEnsemble = None) -> CheckResult:
+    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma."""
+    if ensemble is None:
+        ensemble = momentum.collect(**_autocov_request(nu, dt, m, seed), workers=workers)
     scen = oscillator.OscillatorScenario(nu=nu)
-    points = stats.autocovariance(ensemble.extras["recorded_x"], dt=sample_spacing,
+    points = stats.autocovariance(ensemble.extras["recorded_x"], dt=AUTOCOV_SPACING,
                                   lags=AUTOCOV_LAGS)
     worst_sigma = 0.0
     for pt in points:
@@ -138,19 +145,15 @@ def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
                        data={"points": points, "worst_sigma": worst_sigma})
 
 
-def check_momentum_consistency(nu: float = 0.5, dt: float = 1e-3,
-                               horizon: float = 50.0, m: int = 10000,
-                               seed: int = 4000, workers: int = 1,
-                               ensemble: momentum.MomentumEnsemble = None) -> CheckResult:
+def check_momentum_consistency(ensemble: momentum.MomentumEnsemble, nu: float = 0.5,
+                               dt: float = 1e-3, horizon: float = 50.0) -> CheckResult:
     """Two independent momentum routes per path: weighted quadrature of the
-    interacting path vs the free-path ratio, compared to the documented bound."""
+    interacting path vs the free-path ratio, compared to the documented bound.
+
+    ``ensemble`` is collected with the oscillator's momentum quadrature
+    weights as ``time_weights``.
+    """
     scen = oscillator.OscillatorScenario(nu=nu)
-    if ensemble is None:
-        scenario = Scenario(kind="oscillator-ground", nu=nu)
-        params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-        weights = oscillator.momentum_quadrature_weights(params.times(), scen)
-        ensemble = momentum.collect(scenario, params, m, time_weights=weights,
-                                    workers=workers)
     diffs = np.abs(ensemble.extras["weighted_integrals"] - ensemble.values)
     bound = oscillator.difference_bound(horizon, scen, dt)
     frac = float(np.mean(diffs <= bound))
@@ -161,27 +164,20 @@ def check_momentum_consistency(nu: float = 0.5, dt: float = 1e-3,
                        data={"fraction": frac, "bound": bound})
 
 
-def check_nu_invariance(dt: float = 1e-3, horizon: float = 50.0, m: int = 10000,
-                        seed: int = 5000, nu_values=(0.25, 1.0),
-                        base_nu: float = 0.5, workers: int = 1,
-                        base_ensemble: momentum.MomentumEnsemble = None) -> CheckResult:
-    """Momentum variance and distribution must not depend on nu."""
-    band = 3.0 * 0.5 * math.sqrt(2.0 / m)
-    if base_ensemble is None:
-        params = sde.SimParams(nu=base_nu, dt=dt, horizon=horizon, seed=seed)
-        base_ensemble = momentum.collect(
-            Scenario(kind="oscillator-ground", nu=base_nu), params, m,
-            workers=workers)
+def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble, nu_ensembles: dict,
+                        base_nu: float = 0.5) -> CheckResult:
+    """Momentum variance and distribution must not depend on nu.
+
+    ``nu_ensembles`` maps each other nu to its ensemble, of the same size as
+    ``base_ensemble`` (at ``base_nu``).
+    """
+    band = 3.0 * 0.5 * math.sqrt(2.0 / len(base_ensemble))
     results = {base_nu: base_ensemble.values}
-    for offset, nu in enumerate(nu_values, start=1):
-        params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed + offset)
-        results[nu] = momentum.collect(
-            Scenario(kind="oscillator-ground", nu=nu), params, m,
-            workers=workers).values
+    results.update({nu: ensemble.values for nu, ensemble in nu_ensembles.items()})
     variances = {nu: float(np.var(v, ddof=1)) for nu, v in results.items()}
     var_ok = all(abs(v - 0.5) <= band for v in variances.values())
     pvals = {nu: stats.ks_two_sample(results[base_nu], results[nu]).pvalue
-             for nu in nu_values}
+             for nu in nu_ensembles}
     ks_ok = all(p > 0.01 for p in pvals.values())
     passed = bool(var_ok and ks_ok)
     detail = (f"Var(P) by nu: "
@@ -195,21 +191,44 @@ def check_nu_invariance(dt: float = 1e-3, horizon: float = 50.0, m: int = 10000,
 def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
                      m: int = 10000, seed: int = 42, workers: int = 1,
                      closed_form_paths: int = 100) -> list:
-    """Full oracle battery at the given scale (oscillator scenario only)."""
-    scen = oscillator.OscillatorScenario(nu=nu)
-    scenario = Scenario(kind="oscillator-ground", nu=nu)
+    """Full oracle battery at the given scale (oscillator scenario only).
+
+    The chunks of its four ensembles and the two batch checks are jobs on one
+    pool of ``workers`` processes (in this process for one worker), so the
+    work is balanced by chunk; the three ensemble checks then reduce from the
+    results.  Every job is a pure function of its seeds, so the results do not
+    depend on ``workers``.
+    """
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    weights = oscillator.momentum_quadrature_weights(params.times(), scen)
-    base_ensemble = momentum.collect(scenario, params, m, time_weights=weights,
-                                     workers=workers)
+    weights = oscillator.momentum_quadrature_weights(
+        params.times(), oscillator.OscillatorScenario(nu=nu))
+    nu_values = (0.25, 1.0)
+    plans = [
+        # the weighted base ensemble serves both consistency and nu invariance
+        momentum.plan(Scenario(kind="oscillator-ground", nu=nu), params, m,
+                      time_weights=weights),
+        *(momentum.plan(Scenario(kind="oscillator-ground", nu=v),
+                        sde.SimParams(nu=v, dt=dt, horizon=horizon, seed=seed + 404 + offset),
+                        m)
+          for offset, v in enumerate(nu_values, start=1)),
+        momentum.plan(**_autocov_request(nu, dt, m, seed + 303)),
+    ]
+    # check functions are looked up by module attribute here, so wrappers
+    # installed on the module also see the calls made in pool workers
+    batch_checks = [
+        functools.partial(check_coupled_closed_form, nu=nu, dt=dt,
+                          n_paths=closed_form_paths, seed=seed + 101),
+        functools.partial(check_picard_equivalence, nu=nu, dt=dt, seed=seed + 202),
+    ]
+    results = iter(momentum.run_jobs(
+        [job for p in plans for job in p.jobs] + batch_checks, workers))
+    base_ensemble, *by_nu, autocov_ensemble = [
+        p.reduce([next(results) for _ in p.jobs]) for p in plans]
+    closed_form, picard = results
     return [
-        check_coupled_closed_form(nu=nu, dt=dt, n_paths=closed_form_paths,
-                                  seed=seed + 101),
-        check_picard_equivalence(nu=nu, dt=dt, seed=seed + 202),
-        check_autocovariance(nu=nu, dt=dt, m=m, seed=seed + 303, workers=workers),
-        check_momentum_consistency(nu=nu, dt=dt, horizon=horizon,
-                                   ensemble=base_ensemble),
-        check_nu_invariance(dt=dt, horizon=horizon, m=m, seed=seed + 404,
-                            base_nu=nu, workers=workers,
-                            base_ensemble=base_ensemble),
+        closed_form,
+        picard,
+        check_autocovariance(nu=nu, ensemble=autocov_ensemble),
+        check_momentum_consistency(base_ensemble, nu=nu, dt=dt, horizon=horizon),
+        check_nu_invariance(base_ensemble, dict(zip(nu_values, by_nu)), base_nu=nu),
     ]

@@ -260,11 +260,13 @@ class FreeGridDriftEvaluator:
 
     The initial spectrum is propagated to the requested time (exact spectral
     free evolution) and turned into a drift by :func:`drift`, so the slice is
-    a :class:`GridInterpEvaluator`.  Slices are cached per time value, at
-    most ``_CACHE_SIZE`` (512) of them, oldest out first: fixed-point sweeps
-    over a short mesh hit the cache, and so do the ``momentum.collect``
-    chunks of one process, which share one evaluator, as long as a run has
-    at most 512 steps.
+    a :class:`GridInterpEvaluator`.  Slices are cached per time value: the
+    first ``_CACHE_SIZE`` (512) are kept and later ones are not inserted.
+    Fixed-point sweeps over a short mesh hit the cache, and so do the
+    ``momentum`` chunks of one process, which share one evaluator and walk
+    the step times in order: a longer run rebuilds only its steps past the
+    first 512 in each further chunk, where evicting the oldest slice would
+    evict exactly what the next chunk asks for first.
     """
 
     _CACHE_SIZE = 512
@@ -291,9 +293,8 @@ class FreeGridDriftEvaluator:
         psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * (key - self.t0)))
         state = WaveState(representation="grid", time=key, grid=self.x, amplitude=psi)
         entry = drift(state, self.nu).evaluator
-        if len(self._cache) >= self._CACHE_SIZE:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = entry
+        if len(self._cache) < self._CACHE_SIZE:
+            self._cache[key] = entry
         return entry
 
     def __call__(self, x, t):

@@ -111,7 +111,8 @@ def test_criterion_5_picard_equivalence():
 
 
 def test_criterion_6_ou_autocovariance():
-    result = verify.check_autocovariance(nu=NU, dt=DT, m=M, seed=3042)
+    result = verify.check_autocovariance(nu=NU, dt=DT, m=M, seed=3042,
+                                         workers=WORKERS)
     report(6, result.passed, result.detail)
 
 

@@ -308,12 +308,27 @@ def test_density_out_onto_a_file_is_a_config_error(tmp_path, capsys):
 # verify battery (reduced scale; acceptance runs the stated sizes)
 # ---------------------------------------------------------------------------
 
-def test_verify_checks_pass_at_reduced_scale():
-    results = verify.run_verification(nu=0.5, dt=2e-3, horizon=10.0, m=400,
-                                      seed=99, closed_form_paths=40)
+def test_verify_checks_pass_at_reduced_scale(monkeypatch):
+    scale = dict(nu=0.5, dt=2e-3, horizon=10.0, m=400, seed=99, closed_form_paths=40)
+    pooled = verify.run_verification(**scale, workers=2)
+    # one worker runs every job in process: wrappers on the module's check_*
+    # attributes, as perfbench installs them, see all five checks
+    checks = ("check_coupled_closed_form", "check_picard_equivalence",
+              "check_autocovariance", "check_momentum_consistency",
+              "check_nu_invariance")
+    calls = []
+    for name in checks:
+        def counted(*args, _check=getattr(verify, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    results = verify.run_verification(**scale, workers=1)
+    assert sorted(calls) == sorted(checks)
     for result in results:
         assert result.passed, result.line()
     assert len(results) == 5
+    assert [r.line() for r in pooled] == [r.line() for r in results]
+    assert [r.data for r in pooled] == [r.data for r in results]
 
 
 def test_verify_closed_form_check_scales_with_coarse_dt():

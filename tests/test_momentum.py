@@ -1,6 +1,8 @@
 """Momentum extraction policies and ensemble collection."""
 
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +88,64 @@ def test_collect_invariant_under_chunking_and_workers():
     pooled = momentum.collect(OSC, params, 7, chunk_size=2, workers=2)
     assert np.array_equal(small_chunks.values, one_chunk.values)
     assert np.array_equal(small_chunks.values, pooled.values)
+
+
+@pytest.mark.parametrize("m, chunk_size, workers", [
+    (1, momentum.DEFAULT_CHUNK, 2), (5, 5, 2), (7, 2, 2), (10, 4, 3), (9, 3, 1)])
+def test_plan_splits_paths_into_contiguous_chunks(m, chunk_size, workers):
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.01, seed=5)
+    plan = momentum.plan(OSC, params, m, chunk_size=chunk_size)
+    chunks = momentum.run_jobs(plan.jobs, workers)
+    assert len(chunks) == -(-m // chunk_size)
+    start = 0
+    for chunk in chunks:
+        assert 1 <= len(chunk.path_indices) <= chunk_size
+        assert list(chunk.path_indices) == list(range(start, start + len(chunk.path_indices)))
+        start += len(chunk.path_indices)
+    assert start == m
+
+
+def test_interleaved_ensembles_on_one_pool_match_their_own_collect():
+    weighted = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=61)
+    recorded = sde.SimParams(nu=0.25, dt=1e-3, horizon=0.4, seed=62)
+    other = Scenario(kind="oscillator-ground", nu=0.25)
+    requests = [
+        dict(scenario=OSC, params=weighted, ensemble_size=7, chunk_size=2,
+             time_weights=np.linspace(0.0, 1.0, weighted.steps + 1)),
+        dict(scenario=other, params=recorded, ensemble_size=5, chunk_size=2,
+             policy="extrapolated", record_times=[0.1, 0.2]),
+    ]
+    plans = [momentum.plan(**request) for request in requests]
+    # alternate the two ensembles' chunks: a, b, a, b, a, b, a
+    order = sorted((i, k) for k, p in enumerate(plans) for i in range(len(p.jobs)))
+    results = momentum.run_jobs([plans[k].jobs[i] for i, k in order], workers=2)
+    for k, (p, request) in enumerate(zip(plans, requests)):
+        pooled = p.reduce([r for (_, owner), r in zip(order, results) if owner == k])
+        alone = momentum.collect(**request)
+        assert np.array_equal(pooled.values.view(np.int64), alone.values.view(np.int64))
+        assert np.array_equal(pooled.path_indices, alone.path_indices)
+        assert pooled.extras.keys() == alone.extras.keys()
+        for key, value in alone.extras.items():
+            assert np.array_equal(pooled.extras[key], value), key
+        assert pooled.provenance == alone.provenance
+
+
+def _failing_job():
+    raise ValueError("first job fails")
+
+
+def _marking_job(directory, i):
+    time.sleep(0.05)
+    (directory / str(i)).write_text("")
+
+
+def test_run_jobs_cancels_queued_jobs_after_a_failure(tmp_path):
+    jobs = [_failing_job] + [functools.partial(_marking_job, tmp_path, i) for i in range(40)]
+    with pytest.raises(ValueError, match="first job fails"):
+        momentum.run_jobs(jobs, workers=2)
+    # only the jobs already handed to a worker when the error arrived still
+    # run; without the cancel all 40 would before the error is raised
+    assert len(list(tmp_path.iterdir())) <= 5
 
 
 def test_collect_extras_and_provenance():
@@ -240,3 +300,25 @@ def test_grid_custom_drifts_match_analytic_oscillator():
     pair_grid = sde.co_integrate((grid_int, grid_free), path)
     pair_ana = sde.co_integrate((ana_int, ana_free), path)
     assert np.max(np.abs(pair_grid.free_positions - pair_ana.free_positions)) < 5e-3
+
+
+def test_long_run_chunks_reuse_the_first_512_free_slices(monkeypatch):
+    # 600 steps in two chunks: the first chunk builds 600 slices and keeps the
+    # first 512, the second builds only the 88 past them (a FIFO cache would
+    # miss on all 600 again)
+    slices = []
+    drift = wf.drift
+
+    def counting_drift(state, nu):
+        slices.append(state.time)
+        return drift(state, nu)
+
+    scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
+                        grid_points=1024)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.6, seed=47)
+    whole = momentum.collect(scenario, params, 20, chunk_size=20)
+    monkeypatch.setattr(wf, "drift", counting_drift)
+    chunked = momentum.collect(scenario, params, 20, chunk_size=10, workers=1)
+    # one interacting drift, then the free slices
+    assert len(slices) == 1 + 600 + (600 - 512)
+    assert np.array_equal(chunked.values.view(np.int64), whole.values.view(np.int64))

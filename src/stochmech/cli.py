@@ -30,9 +30,9 @@ from .errors import ConfigError, StochmechError
 from .momentum import POLICIES
 from .scenarios import SCENARIO_KINDS, Scenario
 
-# Paths simulated per kernel call of --dump-paths; bounds the stored
-# (steps + 1) x batch position arrays.
-DUMP_BATCH = 8
+# Recorded values per side that one kernel call of --dump-paths may hold:
+# a batch is as many paths as fit their (steps + 1) rows into this budget.
+DUMP_VALUES = 1 << 20
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
 
@@ -94,8 +94,9 @@ class ScenarioConfig:
         if self.scenario not in SCENARIO_KINDS:
             raise ConfigError(f"scenario: {self.scenario!r} is not one of {SCENARIO_KINDS}")
         for name in ("nu", "dt", "horizon"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name}: must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name}: must be positive and finite")
         if self.paths < stats.MIN_KS_SAMPLES:
             raise ConfigError(f"paths: must be >= {stats.MIN_KS_SAMPLES}, "
                               f"the fewest samples the KS test accepts")
@@ -194,19 +195,20 @@ def _write_manifest(run_dir: str, config: ScenarioConfig) -> None:
 
 
 def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
-    """One t/x/x_F/dW table per path, simulated DUMP_BATCH paths at a time on
-    the ensemble kernel; dW is the path's own increment stream, padded with a
-    trailing 0 to the row count."""
+    """One t/x/x_F/dW table per path, simulated on the ensemble kernel in
+    batches of as many paths as fit DUMP_VALUES recorded values; dW is the
+    path's own increment stream, padded with a trailing 0 to the row count."""
     scenario = config.scenario_obj()
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
     params = config.sim_params()
     times = params.times()
     dump_dir = tableio.ensure_dir(os.path.join(run_dir, "paths"))
-    for start in range(0, config.paths, DUMP_BATCH):
+    per_batch = max(1, DUMP_VALUES // (params.steps + 1))
+    for start in range(0, config.paths, per_batch):
         batch = sde.simulate_coupled_ensemble(
             interacting, free, sampler, params,
-            range(start, min(start + DUMP_BATCH, config.paths)),
+            range(start, min(start + per_batch, config.paths)),
             record_indices=np.arange(params.steps + 1))
         noise = sde.path_rngs(params.seed, batch.path_indices, sde.STREAM_NOISE)
         for j, (index, rng) in enumerate(zip(batch.path_indices, noise)):

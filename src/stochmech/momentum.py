@@ -27,6 +27,8 @@ EXTRAPOLATION_CHECKPOINTS = (0.25, 0.5, 1.0)
 POLICIES = ("ratio", "extrapolated")
 
 DEFAULT_CHUNK = 2048
+# Largest chunk of a pooled ensemble; bounds a worker's noise buffer.
+MAX_CHUNK = 4 * DEFAULT_CHUNK
 
 
 @dataclass
@@ -166,11 +168,35 @@ class EnsemblePlan:
             horizon_used=self.params.horizon, provenance=self.provenance, extras=extras)
 
 
+def chunk_indices(ensemble_size: int, workers: int = 1,
+                  chunk_size: Optional[int] = None) -> list:
+    """Contiguous path-index arrays that cover 0..ensemble_size-1 in order.
+
+    An explicit ``chunk_size`` cuts chunks of that many paths, the last one
+    shorter.  Otherwise, when the chunks go to a pool of
+    p = min(workers, ceil(M / DEFAULT_CHUNK)) > 1 processes, the paths are
+    split into c = p * ceil(M / (p * MAX_CHUNK)) equal shares, sizes
+    differing by at most one, so every process gets the same number of
+    paths; in process (p = 1) they are cut into ``DEFAULT_CHUNK`` paths,
+    which bounds the kernel's memory.
+    """
+    if chunk_size is None:
+        pool = min(workers, -(-ensemble_size // DEFAULT_CHUNK))
+        if pool > 1:
+            count = pool * -(-ensemble_size // (pool * MAX_CHUNK))
+            return np.array_split(np.arange(ensemble_size), count)
+        chunk_size = DEFAULT_CHUNK
+    return [np.arange(start, min(start + chunk_size, ensemble_size))
+            for start in range(0, ensemble_size, chunk_size)]
+
+
 def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-         policy: str = "ratio", chunk_size: int = DEFAULT_CHUNK,
+         policy: str = "ratio", chunk_size: Optional[int] = DEFAULT_CHUNK,
          time_weights: Optional[np.ndarray] = None,
-         record_times: Optional[Sequence[float]] = None) -> EnsemblePlan:
-    """The chunk jobs of ``collect`` for these arguments, not yet run."""
+         record_times: Optional[Sequence[float]] = None,
+         workers: int = 1) -> EnsemblePlan:
+    """The chunk jobs of ``collect`` for these arguments, not yet run; the
+    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     if policy not in POLICIES:
@@ -185,10 +211,8 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
     # the kernel keeps these rows of x and x_F: step 0, the policy's
     # checkpoints, the horizon and the record times
     rows = sorted({0, params.steps, *cp_idx.tolist(), *record_indices})
-    jobs = [functools.partial(_run_chunk, scenario, params,
-                              np.arange(start, min(start + chunk_size, ensemble_size)),
-                              rows, time_weights)
-            for start in range(0, ensemble_size, chunk_size)]
+    jobs = [functools.partial(_run_chunk, scenario, params, indices, rows, time_weights)
+            for indices in chunk_indices(ensemble_size, workers, chunk_size)]
     provenance = {
         "scenario": scenario.kind,
         "nu": params.nu,
@@ -208,19 +232,22 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
 
 def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
             policy: str = "ratio", workers: int = 1,
-            chunk_size: int = DEFAULT_CHUNK,
+            chunk_size: Optional[int] = None,
             time_weights: Optional[np.ndarray] = None,
             record_times: Optional[Sequence[float]] = None) -> MomentumEnsemble:
     """Reduce ``ensemble_size`` independent coupled paths to momentum samples.
 
-    Paths are simulated in chunks, optionally across a process pool; each path
-    is a pure function of (seed, path index), so the result is identical for
-    any worker count or chunk size.  ``time_weights`` adds a per-path running
+    Paths are simulated in chunks, optionally across a process pool of
+    ``workers`` processes.  Unless ``chunk_size`` is given, the chunking
+    follows from ``workers`` (see ``chunk_indices``): equal shares on a pool,
+    ``DEFAULT_CHUNK`` paths in process.  Each path is a pure function of
+    (seed, path index), so the result is identical for any worker count or
+    chunk size.  ``time_weights`` adds a per-path running
     trapezoid accumulator of sum w(t) x(t) dt (extras["weighted_integrals"]);
     ``record_times`` stores interacting positions at those times
     (extras["recorded_x"], one row per path).  This is ``plan``, ``run_jobs``
     and ``EnsemblePlan.reduce`` for one ensemble.
     """
     ensemble = plan(scenario, params, ensemble_size, policy, chunk_size,
-                    time_weights, record_times)
+                    time_weights, record_times, workers)
     return ensemble.reduce(run_jobs(ensemble.jobs, workers))

@@ -33,10 +33,13 @@ STREAM_INITIAL = 1
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
-# Steps of noise drawn per path and transposed at once by the ensemble kernel.
-# Its (paths x BLOCK) array and transposed copy set much of a run's peak
-# memory; the value changes no output, since each path's stream is sequential.
+# Steps of noise drawn per path at once by the ensemble kernel.  Its one
+# (BLOCK x paths) noise buffer sets much of a run's peak memory; the value
+# changes no output, since each path's stream is sequential.
 BLOCK = 512
+# Paths whose noise rows are drawn into a small (TILE x BLOCK) tile, which is
+# then scaled and transposed into the noise buffer in one pass.
+TILE = 64
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,7 @@ def simulate_coupled_ensemble(
     increasing, within 0..steps) and nowhere else.  ``time_weights`` (length
     steps+1) switches on a running trapezoid accumulator of sum w(t) x(t) dt
     along the interacting path.  Noise is drawn in blocks of ``BLOCK`` steps
-    per path.
+    per path into one (BLOCK x paths) buffer that every block reuses.
     """
     idx = np.asarray(list(path_indices), dtype=int)
     n = len(idx)
@@ -408,12 +411,16 @@ def simulate_coupled_ensemble(
         acc = np.zeros(n)
         f_prev = weights[0] * x
 
+    buf = np.empty((min(BLOCK, steps), n))
+    tile = np.empty((min(TILE, n), len(buf)))
     for k in range(0, steps, BLOCK):
         m = min(BLOCK, steps - k)
-        raw = np.empty((n, m))
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=raw[i])
-        dw = np.ascontiguousarray(raw.T) * scale
+        for s in range(0, n, TILE):
+            r = min(TILE, n - s)
+            for row, rng in zip(tile[:r, :m], rngs[s:s + r]):
+                rng.standard_normal(out=row)
+            np.multiply(tile[:r, :m].T, scale, out=buf[:m, s:s + r])
+        dw = buf[:m]
         for knext, x, xf in zip(range(k + 1, k + m + 1),
                                 _euler(interacting, x, times[k:], dt, dw, ood_i),
                                 _euler(free, xf, times[k:], dt, dw, ood_f)):

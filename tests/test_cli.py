@@ -141,6 +141,21 @@ def test_invalid_paths_leaves_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("flag, value", [
+    ("--nu", "inf"), ("--dt", "inf"), ("--horizon", "inf"), ("--dt", "nan")])
+def test_non_finite_float_flags_are_config_errors(tmp_path, capsys, command, flag, value):
+    # argparse's float() accepts inf and nan; without the check --horizon inf
+    # overflowed in SimParams and --nu inf simulated a whole ensemble first
+    out = tmp_path / "runs"
+    args = {"--nu": "0.5", "--dt": "0.001", "--horizon": "0.1", flag: value}
+    code = run_main(command, "--paths", "10", "--workers", "1", "--out", str(out),
+                    *(item for pair in args.items() for item in pair))
+    assert code == 2
+    assert f"{flag[2:]}: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncreatable_out_is_a_config_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -236,10 +251,11 @@ def test_dumped_path_satisfies_recursion(small_run):
     assert np.array_equal(x[1:], rebuilt)          # %.17g round-trips exactly
 
 
-def test_reruns_are_byte_identical(tmp_path):
+def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     # every data artifact (manifest carries a timestamp) is byte-stable
-    # across re-runs and worker counts; 30 dumped paths span several
-    # kernel batches of the dump
+    # across re-runs and worker counts; a budget of 8 paths of 1,001 rows
+    # makes the 30 dumped paths span several kernel batches of the dump
+    monkeypatch.setattr(cli, "DUMP_VALUES", 8 * 1001)
     artifacts = ("ensemble.tsv", "density.tsv", "histogram.tsv", "summary.json")
     outs = []
     for sub, workers in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -249,7 +265,7 @@ def test_reruns_are_byte_identical(tmp_path):
         assert code == 0
         (run_dir,) = out.iterdir()
         dumps = sorted((run_dir / "paths").iterdir())
-        assert len(dumps) == 30 > cli.DUMP_BATCH
+        assert len(dumps) == 30 > cli.DUMP_VALUES // 1001
         outs.append(tuple((run_dir / name).read_bytes() for name in artifacts)
                     + tuple((p.name, p.read_bytes()) for p in dumps))
     assert outs[0] == outs[1] == outs[2]

@@ -105,6 +105,40 @@ def test_plan_splits_paths_into_contiguous_chunks(m, chunk_size, workers):
     assert start == m
 
 
+@pytest.mark.parametrize("m, workers", [
+    (1, 4), (2048, 2), (2049, 2), (2050, 3), (10_000, 1), (10_000, 2), (10_000, 3),
+    (10_000, 1000), (16_385, 2), (50_000, 2), (1_000_003, 7)])
+def test_chunk_rule_gives_each_pool_process_an_equal_share(m, workers):
+    chunks = momentum.chunk_indices(m, workers)
+    assert np.array_equal(np.concatenate(chunks), np.arange(m))
+    sizes = [len(chunk) for chunk in chunks]
+    assert max(sizes) <= momentum.MAX_CHUNK
+    pool = min(workers, len(chunks))           # the pool run_jobs starts
+    if pool > 1:
+        assert max(sizes) - min(sizes) <= 1
+        assert len(chunks) % pool == 0
+    else:
+        expected = [len(c) for c in momentum.chunk_indices(m, chunk_size=momentum.DEFAULT_CHUNK)]
+        assert sizes == expected
+
+
+def test_chunk_rule_caps_the_pool_at_the_default_chunking():
+    # the pool never grows beyond the jobs that DEFAULT_CHUNK would cut
+    assert [len(c) for c in momentum.chunk_indices(10_000, 1000)] == [2000] * 5
+    assert [len(c) for c in momentum.chunk_indices(10_000, 2)] == [5000] * 2
+    assert [len(c) for c in momentum.chunk_indices(10, 4, chunk_size=3)] == [3, 3, 3, 1]
+
+
+def test_pooled_default_plan_matches_the_in_process_one():
+    # 2,050 paths: 2,048 + 2 in process, 2 x 1,025 on a pool of 2 or 3
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.01, seed=23)
+    ensembles = [momentum.collect(OSC, params, 2050, workers=w) for w in (1, 2, 3)]
+    for ensemble in ensembles[1:]:
+        assert np.array_equal(ensemble.values.view(np.int64),
+                              ensembles[0].values.view(np.int64))
+        assert np.array_equal(ensemble.path_indices, np.arange(2050))
+
+
 def test_interleaved_ensembles_on_one_pool_match_their_own_collect():
     weighted = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=61)
     recorded = sde.SimParams(nu=0.25, dt=1e-3, horizon=0.4, seed=62)

@@ -255,17 +255,21 @@ def test_picard_raises_no_convergence():
 # batched engine
 # ---------------------------------------------------------------------------
 
-def test_batch_matches_single_path_bitwise(monkeypatch):
-    # a small noise block makes the 500-step run cross block boundaries
+@pytest.mark.parametrize("n", [3, 5, 70])
+def test_batch_matches_single_path_bitwise(monkeypatch, n):
+    # a small noise block makes the 500-step run cross block boundaries and
+    # end on a short one; 3 and 5 paths fill part of one noise tile, 70 a
+    # full tile and part of a second
     monkeypatch.setattr(sde, "BLOCK", 128)
+    assert n % sde.TILE != 0
     nu = 0.5
     params = sde.SimParams(nu=nu, dt=1e-3, horizon=0.5, seed=41)
     interacting, free = oscillator_drift(nu), free_drift(nu)
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(
-        interacting, free, sampler, params, range(5),
+        interacting, free, sampler, params, range(n),
         record_indices=np.arange(params.steps + 1))
-    for i in range(5):
+    for i in range(n):
         p = params.with_path_index(i)
         x0 = sde.draw_initial(p, sampler)
         path = sde.integrate(interacting, x0, p)

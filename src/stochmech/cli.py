@@ -127,6 +127,9 @@ class ScenarioConfig:
             params = self.sim_params()
         except ValueError as err:
             raise ConfigError(f"horizon/dt: {err}") from err
+        if self.policy == "extrapolated" and params.steps < 2:
+            raise ConfigError("policy: extrapolated fits two or more checkpoints and "
+                              "needs a horizon of at least two steps of dt")
         if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
             raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
                               f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
@@ -142,12 +145,13 @@ class ScenarioConfig:
                         state_file=self.state_file)
 
     def effective_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
+        """``workers``, capped at the CPUs the process may run on (its
+        affinity mask); all of them when ``workers`` is unset."""
         try:
-            return len(os.sched_getaffinity(0))
+            usable = len(os.sched_getaffinity(0))
         except AttributeError:          # no affinity mask on this platform
-            return os.cpu_count() or 1
+            usable = os.cpu_count() or 1
+        return usable if self.workers is None else min(self.workers, usable)
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)

@@ -50,14 +50,11 @@ def ou_covariance(t1, t2, scen: OscillatorScenario):
     return 0.5 * np.exp(-2.0 * scen.nu * np.abs(np.asarray(t1, float) - np.asarray(t2, float)))
 
 
-def momentum_weight(t, scen: OscillatorScenario):
-    """Weight e^{g(t)} (2 nu - g'(t)) multiplying x(t) in the momentum integral."""
-    return np.exp(gamma(t, scen)) * (2.0 * scen.nu - gamma_rate(t, scen))
-
-
 def momentum_quadrature_weights(times: np.ndarray, scen: OscillatorScenario) -> np.ndarray:
-    """Full integrand weight including the e^{-nu pi} prefactor, on a mesh."""
-    return math.exp(-scen.nu * math.pi) * momentum_weight(times, scen)
+    """Weight e^{-nu pi} e^{g(t)} (2 nu - g'(t)) multiplying x(t) in the
+    momentum integral, on a mesh."""
+    return math.exp(-scen.nu * math.pi) * (
+        np.exp(gamma(times, scen)) * (2.0 * scen.nu - gamma_rate(times, scen)))
 
 
 def coupled_path_closed_form(times, positions, scen: OscillatorScenario,
@@ -88,56 +85,51 @@ def coupled_path_closed_form(times, positions, scen: OscillatorScenario,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian second moments of the finite-horizon estimators
+# Exact law of the Euler scheme
 # ---------------------------------------------------------------------------
 
-def _weight_double_integral(horizon: float, scen: OscillatorScenario, n: int) -> tuple:
-    """D = iint w w cov and C = int w(t) cov(T, t) dt on [t0, t0+T]."""
-    t = scen.t0 + np.linspace(0.0, horizon, n)
-    w = momentum_weight(t, scen)
-    cov = ou_covariance(t[:, None], t[None, :], scen)
-    inner = np.trapezoid(w[None, :] * cov, t, axis=1)
-    d = float(np.trapezoid(w * inner, t))
-    c = float(np.trapezoid(w * ou_covariance(t[-1], t, scen), t))
-    return d, c
+def _euler_rows(horizon: float, scen: OscillatorScenario, dt: float) -> tuple:
+    """Coefficient rows of (quadrature, x(t0+T), x_F(t0+T)) on the independent
+    Gaussians (x0, dW_0 .. dW_{N-1}) of the ensemble kernel, with their variances.
 
-
-def integral_variance(horizon: float, scen: OscillatorScenario, n: int = 2001) -> float:
-    """Exact variance of the truncated momentum integral (tends to 1/2 like
-    1/2 - 2 nu / T as the horizon grows)."""
-    d, _ = _weight_double_integral(horizon, scen, n)
-    return math.exp(-2.0 * scen.nu * math.pi) * d
-
-
-def ratio_variance(horizon: float, scen: OscillatorScenario, n: int = 2001) -> float:
-    """Exact variance of the finite-horizon ratio estimate x_F(t0+T)/T."""
-    d, c = _weight_double_integral(horizon, scen, n)
-    t_end = scen.t0 + horizon
-    pref = math.exp(-float(gamma(t_end, scen))) / horizon
-    return 0.5 / horizon ** 2 + pref * pref * d + 2.0 * (pref / horizon) * c
-
-
-def estimator_difference_std(horizon: float, scen: OscillatorScenario, n: int = 2001) -> float:
-    """Std of (momentum quadrature - ratio estimate) on one path at horizon T.
-
-    Both estimators are linear functionals of the same Gaussian path, so the
-    difference variance follows from the closed-form covariance:
-
-        diff = (e^{-nu pi} - e^{-g(T)}/T) int w x dt  -  x(T)/T.
+    The kernel steps x <- a x + dW with a = 1 - 2 nu dt, and x_F <- b_k x_F + dW
+    with b_k = 1 - gamma_rate(t_k) dt on the same dW, N = round(T / dt) times;
+    x0 = x_F0.  The quadrature is its trapezoid sum, weights dt w(t_k) halved
+    at both ends.  Each row holds a coefficient on x0, then one per dW_j.
     """
-    d, c = _weight_double_integral(horizon, scen, n)
-    t_end = scen.t0 + horizon
-    dpref = math.exp(-scen.nu * math.pi) - math.exp(-float(gamma(t_end, scen))) / horizon
-    var = dpref * dpref * d + 0.5 / horizon ** 2 - 2.0 * dpref * (1.0 / horizon) * c
-    return math.sqrt(max(var, 0.0))
+    steps = round(horizon / dt)
+    t = scen.t0 + dt * np.arange(steps + 1)
+    a = 1.0 - 2.0 * scen.nu * dt
+    c = dt * momentum_quadrature_weights(t, scen)
+    c[[0, -1]] *= 0.5
+    # backward: S_{j-1} = c_j + a S_j is the quadrature's coefficient on dW_{j-1}
+    # (on x0 for j = 0); nothing divides by a power of a, which underflows at large T
+    quad = [float(c[-1])]
+    for cj in c[-2::-1].tolist():
+        quad.append(cj + a * quad[-1])
+    rows = np.empty((3, steps + 1))
+    rows[0] = quad[::-1]
+    rows[1] = a ** np.arange(steps, -1, -1.0)
+    rows[2, :-1] = np.cumprod((1.0 - dt * gamma_rate(t[:-1], scen))[::-1])[::-1]
+    rows[2, -1] = 1.0
+    var = np.full(steps + 1, 2.0 * scen.nu * dt)
+    var[0] = 0.5
+    return rows, var
 
 
-# Per-step discretization slack for the two-route momentum comparison; the
-# measured dt sensitivity of the difference is well under 2 dt in path units.
-DIFFERENCE_DT_SLACK = 2.0
+def euler_covariance(horizon: float, scen: OscillatorScenario, dt: float) -> np.ndarray:
+    """Exact 3x3 covariance of (quadrature, x(t0+T), x_F(t0+T)) as the
+    ensemble kernel computes them at step dt, with the stationary start
+    x0 = x_F0 ~ N(0, 1/2).  The momentum P = x_F(t0+T) / T; its variance
+    tends to (1 + 1/T^2) / 2 as dt -> 0."""
+    rows, var = _euler_rows(horizon, scen, dt)
+    return (rows * var) @ rows.T
 
 
 def difference_bound(horizon: float, scen: OscillatorScenario, dt: float) -> float:
-    """Documented per-path bound on |quadrature - ratio| holding for >= 99%
-    of paths: three closed-form standard deviations plus discretization slack."""
-    return 3.0 * estimator_difference_std(horizon, scen) + DIFFERENCE_DT_SLACK * dt
+    """Per-path bound on |quadrature - x_F(t0+T)/T| holding for >= 99% of
+    paths: three exact standard deviations of the difference under the
+    Euler scheme at step dt."""
+    rows, var = _euler_rows(horizon, scen, dt)
+    diff = rows[0] - rows[2] / horizon
+    return 3.0 * math.sqrt(float(var @ (diff * diff)))

@@ -148,7 +148,9 @@ def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
 def check_momentum_consistency(ensemble: momentum.MomentumEnsemble, nu: float = 0.5,
                                dt: float = 1e-3, horizon: float = 50.0) -> CheckResult:
     """Two independent momentum routes per path: weighted quadrature of the
-    interacting path vs the free-path ratio, compared to the documented bound.
+    interacting path vs the free-path ratio, within three exact standard
+    deviations of their difference under the Euler scheme at step ``dt``
+    (``oscillator.difference_bound``) on at least 99% of paths.
 
     ``ensemble`` is collected with the oscillator's momentum quadrature
     weights as ``time_weights``.

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark: the entry points the launcher wraps by name
 must still exist and still step the paths it counts, the node probe of
 ``perfbench/run.py`` must still run on the package's exports, and the
-workloads run at one worker must reproduce their golden ensembles."""
+workloads run at one worker must reproduce their golden ensembles or, for
+the verify battery, pass."""
 
 import hashlib
 import importlib.util
@@ -70,3 +71,14 @@ def test_workload_ensemble_matches_its_golden(bench, tmp_path, workload):
     (run_dir,) = tmp_path.iterdir()
     digest = hashlib.sha256((run_dir / "ensemble.tsv").read_bytes()).hexdigest()
     assert digest == bench.GOLDEN["ensemble_sha256"][workload]
+
+
+def test_verify_battery_passes_at_its_golden_seed(bench, tmp_path, capsys):
+    # the seed the benchmark maps the golden seed onto is the tightest of its
+    # seeds under the two-route bound; the benchmark wants five PASS lines
+    workload = bench.WORKLOADS["verify-battery"]
+    seed = workload.cli_seed(bench.GOLDEN["seed"])
+    cli_args = workload.cli_args(seed, workers=1)
+    assert cli.main([*cli_args, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)

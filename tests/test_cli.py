@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from stochmech import cli, oscillator, tableio, verify
+from stochmech import cli, momentum, oscillator, tableio, verify
 from stochmech.errors import ConfigError, StochmechError
 
 
@@ -197,9 +197,35 @@ def test_default_workers_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli.ScenarioConfig().effective_workers() == 3
-    assert cli.ScenarioConfig(workers=7).effective_workers() == 7
+    assert cli.ScenarioConfig(workers=7).effective_workers() == 3
+    assert cli.ScenarioConfig(workers=2).effective_workers() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli.ScenarioConfig().effective_workers() == 64
+
+
+def test_workers_beyond_the_usable_cpus_start_no_pool(tmp_path, monkeypatch):
+    # 2,100 paths make two chunks, which --workers 1000 would put on a pool
+    # of two processes; on one usable CPU they run in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(momentum, "ProcessPoolExecutor", no_pool)
+    assert run_main("run", "--paths", "2100", "--horizon", "0.01", "--workers", "1000",
+                    "--out", str(tmp_path)) == 0
+
+
+def test_extrapolated_policy_needs_two_steps(tmp_path, capsys):
+    # one step gives one checkpoint, and the fit through it divided by zero
+    code = run_main("run", "--policy", "extrapolated", "--horizon", "0.001",
+                    "--dt", "0.001", "--paths", "10", "--workers", "1",
+                    "--out", str(tmp_path / "one"))
+    assert code == 2
+    assert "policy: extrapolated" in capsys.readouterr().err
+    assert not (tmp_path / "one").exists()
+    assert run_main("run", "--policy", "extrapolated", "--horizon", "0.002",
+                    "--dt", "0.001", "--paths", "10", "--workers", "1",
+                    "--out", str(tmp_path / "two")) == 0
 
 
 # ---------------------------------------------------------------------------

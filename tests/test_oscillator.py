@@ -9,7 +9,7 @@ from scipy import integrate as scipy_integrate
 from stochmech import oscillator as osc
 from stochmech import sde
 from stochmech import wavefunction as wf
-from stochmech.scenarios import GaussianInitialSampler, Scenario
+from stochmech.scenarios import Scenario
 
 SCEN = osc.OscillatorScenario(nu=0.5, t0=0.0)
 
@@ -141,10 +141,11 @@ def test_closed_form_matrix_matches_per_path():
 
 
 # ---------------------------------------------------------------------------
-# momentum integral
+# exact law of the Euler scheme
 # ---------------------------------------------------------------------------
 
 def test_integral_variance_against_brute_force_double_quadrature():
+    # the continuous-time variance; the scheme's differs by O(dt) (3e-5 at dt 1e-3)
     scen = osc.OscillatorScenario(nu=0.5)
     horizon = 5.0
 
@@ -157,7 +158,7 @@ def test_integral_variance_against_brute_force_double_quadrature():
         lambda s, t: weight(t) * weight(s) * 0.5 * math.exp(-2.0 * scen.nu * abs(t - s)),
         0.0, horizon, 0.0, horizon, epsabs=1e-10)
     brute *= math.exp(-2.0 * scen.nu * math.pi)
-    assert osc.integral_variance(horizon, scen, n=4001) == pytest.approx(brute, abs=1e-5)
+    assert osc.euler_covariance(horizon, scen, 1e-4)[0, 0] == pytest.approx(brute, abs=1e-5)
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
@@ -165,31 +166,86 @@ def test_momentum_variance_approaches_one_half(nu):
     # E(P^2) = 1/2 for every nu; the truncated integral sits at 1/2 - 2 nu / T
     scen = osc.OscillatorScenario(nu=nu)
     horizon = 200.0
-    value = osc.integral_variance(horizon, scen, n=4001) + 2.0 * nu / horizon
+    value = osc.euler_covariance(horizon, scen, 1e-3)[0, 0] + 2.0 * nu / horizon
     assert value == pytest.approx(0.5, abs=2e-3)
 
 
 def test_estimator_second_moments_frozen_values():
     # frozen from an independent quadrature of the same Gaussian functionals
-    assert osc.integral_variance(50.0, SCEN) == pytest.approx(0.47981, abs=2e-4)
-    assert osc.ratio_variance(50.0, SCEN) == pytest.approx(0.50021, abs=2e-4)
-    assert osc.estimator_difference_std(50.0, SCEN) == pytest.approx(0.0202, abs=1e-3)
+    cov = osc.euler_covariance(50.0, SCEN, 1e-3)
+    assert cov[0, 0] == pytest.approx(0.47981, abs=2e-4)
+    assert cov[2, 2] / 50.0 ** 2 == pytest.approx(0.50021, abs=2e-4)
+    assert osc.difference_bound(50.0, SCEN, 1e-3) / 3.0 == pytest.approx(0.0202, abs=1e-3)
+
+
+@pytest.mark.parametrize("nu, horizon, dt, t0", [
+    (0.5, 2.0, 0.01, 0.0), (0.25, 3.0, 0.02, 1.5), (1.0, 1.2, 0.6, 0.0)])
+def test_euler_covariance_matches_the_forward_recursion(nu, horizon, dt, t0):
+    # step the covariance of the state (x, x_F, quadrature) the way the kernel
+    # steps the state; the last case has 2 nu dt > 1
+    scen = osc.OscillatorScenario(nu=nu, t0=t0)
+    steps = round(horizon / dt)
+    t = t0 + dt * np.arange(steps + 1)
+    c = dt * osc.momentum_quadrature_weights(t, scen)
+    c[[0, -1]] *= 0.5
+    cov = np.zeros((3, 3))
+    cov[:2, :2] = 0.5
+    noise = np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
+    for k in range(steps + 1):
+        if k:
+            step = np.diag([1.0 - 2.0 * nu * dt, 1.0 - dt * osc.gamma_rate(t[k - 1], scen), 1.0])
+            cov = step @ cov @ step.T + 2.0 * nu * dt * noise
+        add = np.eye(3)
+        add[2, 0] = c[k]
+        cov = add @ cov @ add.T
+    order = [2, 0, 1]
+    expected = cov[np.ix_(order, order)]
+    assert np.allclose(osc.euler_covariance(horizon, scen, dt), expected, rtol=1e-12, atol=1e-14)
+
+
+def test_momentum_variance_converges_at_order_dt():
+    # Var(P) of the scheme tends to the continuous (1 + 1/T^2) / 2 like dt
+    horizon = 50.0
+    gaps = [osc.euler_covariance(horizon, SCEN, dt)[2, 2] / horizon ** 2
+            - 0.5 * (1.0 + 1.0 / horizon ** 2) for dt in (2e-3, 1e-3, 5e-4)]
+    assert gaps[0] < 0.0
+    assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.02)
+    assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.02)
+
+
+def _ensemble_chunk(nu, horizon, dt, m, seed, **kwargs):
+    scenario = Scenario(kind="oscillator-ground", nu=nu)
+    params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
+    return sde.simulate_coupled_ensemble(
+        *scenario.drift_fields(), scenario.initial_sampler(), params, range(m), **kwargs)
 
 
 def test_momentum_integral_variance_monte_carlo():
     # ensemble check of the truncated quadrature against its exact variance
     nu, m, horizon, dt = 0.5, 4000, 50.0, 0.01
     scen = osc.OscillatorScenario(nu=nu)
-    params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=404)
-    field = wf.drift(wf.harmonic_ground_state(), nu)
-    weights = osc.momentum_quadrature_weights(params.times(), scen)
-    chunk = sde.simulate_coupled_ensemble(
-        field, field, GaussianInitialSampler(sigma=math.sqrt(0.5)),
-        params, range(m), time_weights=weights)
+    weights = osc.momentum_quadrature_weights(sde.SimParams(nu, dt, horizon).times(), scen)
+    chunk = _ensemble_chunk(nu, horizon, dt, m, 404, time_weights=weights)
     sample_var = chunk.weighted_integral.var(ddof=1)
-    expected = osc.integral_variance(horizon, scen)
+    expected = osc.euler_covariance(horizon, scen, dt)[0, 0]
     stderr = expected * math.sqrt(2.0 / m)
     assert abs(sample_var - expected) < 4.0 * stderr
+
+
+def test_joint_law_of_the_coupled_endpoints():
+    # corr(x(T), x_F(T)) sees the interacting drift and the coupling, which
+    # the marginal law of P does not; the 4-SE bands at the two nu are disjoint
+    m, horizon, dt = 4000, 5.0, 1e-3
+    targets = {}
+    for nu in (0.5, 0.25):
+        cov = osc.euler_covariance(horizon, osc.OscillatorScenario(nu=nu), dt)
+        targets[nu] = cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])
+    band = 4.0 * max(1.0 - r * r for r in targets.values()) / math.sqrt(m - 3)
+    assert abs(targets[0.5] - targets[0.25]) > 2.0 * band
+    for nu, target in targets.items():
+        chunk = _ensemble_chunk(nu, horizon, dt, m, 505, record_indices=[round(horizon / dt)])
+        corr = np.corrcoef(chunk.recorded_x[0], chunk.recorded_xf[0])[0, 1]
+        assert abs(corr - target) < band
 
 
 # ---------------------------------------------------------------------------

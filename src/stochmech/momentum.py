@@ -191,12 +191,14 @@ def chunk_indices(ensemble_size: int, workers: int = 1,
 
 
 def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-         policy: str = "ratio", chunk_size: Optional[int] = DEFAULT_CHUNK,
+         policy: str = "ratio", chunk_size: Optional[int] = None,
          time_weights: Optional[np.ndarray] = None,
          record_times: Optional[Sequence[float]] = None,
          workers: int = 1) -> EnsemblePlan:
     """The chunk jobs of ``collect`` for these arguments, not yet run; the
-    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``."""
+    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``.
+    ValueError for the ``extrapolated`` policy on a horizon too short for two
+    distinct checkpoints."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
     if policy not in POLICIES:
@@ -208,6 +210,9 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
             raise ValueError(f"record time {t} outside the simulated range")
         record_indices.add(k)
     cp_idx = _checkpoint_indices(params.steps, policy)
+    if policy == "extrapolated" and len(cp_idx) < 2:
+        raise ValueError("the extrapolated policy fits two or more checkpoints; "
+                         f"a {params.steps}-step horizon has one")
     # the kernel keeps these rows of x and x_F: step 0, the policy's
     # checkpoints, the horizon and the record times
     rows = sorted({0, params.steps, *cp_idx.tolist(), *record_indices})

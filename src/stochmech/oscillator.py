@@ -57,20 +57,17 @@ def momentum_quadrature_weights(times: np.ndarray, scen: OscillatorScenario) -> 
         np.exp(gamma(times, scen)) * (2.0 * scen.nu - gamma_rate(times, scen)))
 
 
-def coupled_path_closed_form(times, positions, scen: OscillatorScenario,
-                             gamma_fn=None) -> np.ndarray:
+def coupled_path_closed_form(times, positions, scen: OscillatorScenario) -> np.ndarray:
     """Evaluate the integrating-factor solution for x_F on a path mesh.
 
     The dx integral is the pathwise left-endpoint Riemann-Stieltjes sum (the
     integrand is deterministic in t, so there is no Ito/Stratonovich
     ambiguity); the dt integral uses the trapezoid rule.  ``positions`` is
     one path of len(times) values or a (len(times), n_paths) matrix.
-    ``gamma_fn`` overrides the exponent (a negative-control hook for the
-    verification suite).
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(positions, dtype=float)
-    g = (gamma_fn or gamma)(times, scen)
+    g = gamma(times, scen)
     eg = np.exp(g)
     dts = np.diff(times)
     if x.ndim == 2:

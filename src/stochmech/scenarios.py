@@ -65,7 +65,7 @@ class Scenario:
         if self.nu <= 0:
             raise ConfigError("nu: must be positive")
 
-    def initial_state(self) -> wf.WaveState:
+    def initial_state(self) -> wf.GaussianState | wf.WaveState:
         if self.kind == "oscillator-ground":
             return wf.harmonic_ground_state(time=self.t0)
         if self.kind == "free-gaussian":

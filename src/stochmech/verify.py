@@ -52,7 +52,7 @@ def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
 
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
                               horizon: float = 10.0, n_paths: int = 100,
-                              seed: int = 1000, gamma_fn=None) -> CheckResult:
+                              seed: int = 1000) -> CheckResult:
     """Co-integration against the integrating-factor solution on shared noise.
 
     The sup-norm deviation must scale like C dt: the fine run uses halved
@@ -71,7 +71,7 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
     for params, dw in ((params_coarse, dw_coarse), (params_fine, dw_fine)):
         x = sde.integrate_batch(interacting, x0, params, dw)
         xf = sde.co_integrate_batch(free, x, params, dw)
-        cf = oscillator.coupled_path_closed_form(params.times(), x, scen, gamma_fn=gamma_fn)
+        cf = oscillator.coupled_path_closed_form(params.times(), x, scen)
         devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
     c_coarse = devs[dt] / dt
     c_fine = devs[0.5 * dt] / (0.5 * dt)

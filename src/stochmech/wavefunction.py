@@ -1,15 +1,16 @@
 """Wave functions, their log-amplitude/phase split, drift fields, and momentum density.
 
-Natural units throughout (hbar = m = 1).  A wave function psi is represented
-either analytically (closed-form log-amplitude R and phase S with their x
-derivatives, so psi = exp(R + i S)) or sampled on a uniform grid.  The drift
-guiding the position diffusion is
+Natural units throughout (hbar = m = 1).  A wave function psi = exp(R + i S)
+is either a :class:`GaussianState`, with R and S in closed form, or a
+:class:`WaveState` sampled on a uniform grid.  The drift guiding the position
+diffusion is
 
     b(x, t) = 2 nu dR/dx + dS/dx
 
-with nu the diffusion parameter.  Two analytic families are built in: the
-harmonic-oscillator ground state (stationary) and the spreading Gaussian that
-solves the free equation with the same initial profile.
+with nu the diffusion parameter.  The Gaussian state is the
+harmonic-oscillator ground state, held (stationary) or spreading under the
+free equation from the same initial profile.  A grid state evolves freely by
+one spectral step, :meth:`FreeGridDriftEvaluator.state`.
 """
 
 from __future__ import annotations
@@ -31,96 +32,52 @@ DEFAULT_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
-# Analytic field closures (picklable callables; all take (x, t))
+# Wave states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ZeroField:
-    def __call__(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+class GaussianState:
+    """The unit-norm Gaussian psi = exp(R + i S) that is the ground state of
+    V = x^2/2 at ``t0``; ``time`` is the state's own time.
 
+    Held (``spreading`` false) it stays that ground state.  Spreading, it
+    solves the free equation from it; with tau = t - t0,
 
-@dataclass(frozen=True)
-class HarmonicLogAmp:
-    """R(x) = -x^2/2 - log(pi)/4: the unit-norm ground state of V = x^2/2."""
+        R = -x^2 / (2 (1 + tau^2)) - log(pi)/4 - log(1 + tau^2)/4,
+        S = x^2 tau / (2 (1 + tau^2)) - atan(tau)/2.
+    """
 
-    def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * x * x + (-0.25 * math.log(math.pi))
-
-
-@dataclass(frozen=True)
-class HarmonicLogAmpGrad:
-    def __call__(self, x, t):
-        return -np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class GaussianLogAmp:
-    """R of the freely spreading Gaussian: -x^2 / (2 (1 + tau^2)) + const(tau)."""
-
+    time: float
     t0: float
+    spreading: bool = False
 
-    def __call__(self, x, t):
+    def _tau(self, t):
+        return t - self.t0 if self.spreading else 0.0
+
+    def log_amp(self, x, t):
         x = np.asarray(x, dtype=float)
-        tau = t - self.t0
+        tau = self._tau(t)
         return (-0.5 * x * x / (1.0 + tau * tau)
                 - 0.25 * math.log(math.pi) - 0.25 * math.log1p(tau * tau))
 
-
-@dataclass(frozen=True)
-class GaussianPhase:
-    """S of the freely spreading Gaussian: x^2 tau / (2 (1 + tau^2)) + const(tau)."""
-
-    t0: float
-
-    def __call__(self, x, t):
+    def phase(self, x, t):
         x = np.asarray(x, dtype=float)
-        tau = t - self.t0
+        tau = self._tau(t)
         return 0.5 * x * x * tau / (1.0 + tau * tau) - 0.5 * math.atan(tau)
 
+    def psi(self, x):
+        """The amplitude at positions x at the state's time."""
+        return np.exp(self.log_amp(x, self.time) + 1j * self.phase(x, self.time))
 
-@dataclass(frozen=True)
-class GaussianLogAmpGrad:
-    t0: float
-
-    def __call__(self, x, t):
-        tau = t - self.t0
-        return -np.asarray(x, dtype=float) / (1.0 + tau * tau)
-
-
-@dataclass(frozen=True)
-class GaussianPhaseGrad:
-    t0: float
-
-    def __call__(self, x, t):
-        tau = t - self.t0
-        return np.asarray(x, dtype=float) * (tau / (1.0 + tau * tau))
-
-
-# ---------------------------------------------------------------------------
-# Wave state
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WaveState:
-    """A wave function at a fixed time.
+    """A wave function at ``time`` as complex ``amplitude`` values on the
+    uniform ``grid``."""
 
-    Exactly one representation is populated:
-
-    * ``analytic``: closures ``log_amp``/``phase`` (and their x gradients)
-      with signature ``(x, t)``; the state's own time is ``time``.
-    * ``grid``: uniform ``grid`` positions with complex ``amplitude`` values.
-    """
-
-    representation: str
+    grid: np.ndarray
+    amplitude: np.ndarray
     time: float
-    grid: Optional[np.ndarray] = None
-    amplitude: Optional[np.ndarray] = None
-    log_amp: Optional[Callable] = None
-    phase: Optional[Callable] = None
-    dlog_amp: Optional[Callable] = None
-    dphase: Optional[Callable] = None
 
     @classmethod
     def from_grid(cls, x, amplitude, time=0.0):
@@ -141,43 +98,28 @@ class WaveState:
         norm = math.sqrt(h * float(np.sum(np.abs(amplitude) ** 2)))
         if norm == 0.0:
             raise ValueError("cannot normalize a zero amplitude")
-        return cls(representation="grid", time=float(time), grid=x,
-                   amplitude=amplitude / norm)
+        return cls(grid=x, amplitude=amplitude / norm, time=float(time))
 
     @property
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def psi(self, x):
-        """Evaluate the amplitude of an analytic state at positions x."""
-        if self.representation != "analytic":
-            raise ValueError("psi(x) closure is only available for analytic states")
-        r = self.log_amp(x, self.time)
-        s = self.phase(x, self.time)
-        return np.exp(r + 1j * s)
 
-
-def harmonic_ground_state(time=0.0) -> WaveState:
+def harmonic_ground_state(time=0.0) -> GaussianState:
     """Ground state of V = x^2/2; drift is -2 nu x, independent of time."""
-    return WaveState(
-        representation="analytic", time=float(time),
-        log_amp=HarmonicLogAmp(), phase=ZeroField(),
-        dlog_amp=HarmonicLogAmpGrad(), dphase=ZeroField(),
-    )
+    return GaussianState(time=float(time), t0=float(time))
 
 
-def free_gaussian_state(time=0.0, t0=0.0) -> WaveState:
+def free_gaussian_state(time=0.0, t0=0.0) -> GaussianState:
     """Freely spreading Gaussian whose profile at t0 matches the oscillator ground state."""
-    return WaveState(
-        representation="analytic", time=float(time),
-        log_amp=GaussianLogAmp(t0), phase=GaussianPhase(t0),
-        dlog_amp=GaussianLogAmpGrad(t0), dphase=GaussianPhaseGrad(t0),
-    )
+    return GaussianState(time=float(time), t0=float(t0), spreading=True)
 
 
-def to_grid(state: WaveState, extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """Sample an analytic state onto a uniform grid (unit norm)."""
-    if state.representation == "grid":
+def to_grid(state: GaussianState | WaveState,
+            extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
+    """A Gaussian state sampled onto a uniform grid (unit norm); a grid state
+    as it is."""
+    if isinstance(state, WaveState):
         return state
     x = np.linspace(extent[0], extent[1], points)
     return WaveState.from_grid(x, state.psi(x), time=state.time)
@@ -218,13 +160,20 @@ def _unwrap_from(angles: np.ndarray, center: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AnalyticDriftEvaluator:
+class GaussianDrift:
+    """Drift of a :class:`GaussianState`: -2 nu x held; spreading,
+    -x (2 nu - tau) / (1 + tau^2) with tau = t - t0, where t may be an array."""
+
     nu: float
-    dlog_amp: Callable
-    dphase: Callable
+    t0: float
+    spreading: bool
 
     def __call__(self, x, t):
-        return 2.0 * self.nu * self.dlog_amp(x, t) + self.dphase(x, t)
+        x = np.asarray(x, dtype=float)
+        if not self.spreading:
+            return 2.0 * self.nu * -x
+        tau = t - self.t0
+        return 2.0 * self.nu * (-x / (1.0 + tau * tau)) + x * (tau / (1.0 + tau * tau))
 
 
 @dataclass(frozen=True)
@@ -258,21 +207,21 @@ class GridInterpEvaluator:
 class FreeGridDriftEvaluator:
     """Free drift b_F(x, t) for an arbitrary grid initial state.
 
-    The initial spectrum is propagated to the requested time (exact spectral
-    free evolution) and turned into a drift by :func:`drift`, so the slice is
-    a :class:`GridInterpEvaluator`.  Slices are cached per time value: the
-    first ``_CACHE_SIZE`` (512) are kept and later ones are not inserted.
-    Fixed-point sweeps over a short mesh hit the cache, and so do the
-    ``momentum`` chunks of one process, which share one evaluator and walk
-    the step times in order: a longer run rebuilds only its steps past the
-    first 512 in each further chunk, where evicting the oldest slice would
-    evict exactly what the next chunk asks for first.
+    :meth:`state` propagates the initial spectrum to the requested time
+    (exact spectral free evolution), and :func:`drift` turns that state into
+    the slice, a :class:`GridInterpEvaluator`.  Slices are cached per time
+    value: the first ``_CACHE_SIZE`` (512) are kept and later ones are not
+    inserted.  Fixed-point sweeps over a short mesh hit the cache, and so do
+    the ``momentum`` chunks of one process, which share one evaluator and
+    walk the step times in order: a longer run rebuilds only its steps past
+    the first 512 in each further chunk, where evicting the oldest slice
+    would evict exactly what the next chunk asks for first.
     """
 
     _CACHE_SIZE = 512
 
-    def __init__(self, state: WaveState, nu: float):
-        grid_state = state if state.representation == "grid" else to_grid(state)
+    def __init__(self, state: GaussianState | WaveState, nu: float):
+        grid_state = to_grid(state)
         self.nu = float(nu)
         self.t0 = float(grid_state.time)
         self.x = grid_state.grid
@@ -285,14 +234,27 @@ class FreeGridDriftEvaluator:
         state["_cache"] = {}
         return state
 
+    def state(self, t: float) -> WaveState:
+        """The initial state freely evolved to absolute time t: each Fourier
+        mode picks up exp(-i k^2 (t - t0) / 2), exactly norm preserving and
+        time reversible.  Warns (GridTooNarrowWarning, one constant message,
+        so Python's default filter shows it once per process) when the
+        amplitude at either grid edge exceeds BOUNDARY_AMPLITUDE of its peak:
+        the periodic step then wraps it around the box."""
+        t = float(t)
+        psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * (t - self.t0)))
+        mags = np.abs(psi)
+        if max(mags[0], mags[-1]) > BOUNDARY_AMPLITUDE * mags.max():
+            warnings.warn(f"relative amplitude at a grid edge exceeds {BOUNDARY_AMPLITUDE:.0e}; "
+                          "widen the grid extent", GridTooNarrowWarning)
+        return WaveState(grid=self.x, amplitude=psi, time=t)
+
     def _slice(self, t: float) -> GridInterpEvaluator:
         key = float(t)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * (key - self.t0)))
-        state = WaveState(representation="grid", time=key, grid=self.x, amplitude=psi)
-        entry = drift(state, self.nu).evaluator
+        entry = drift(self.state(key), self.nu).evaluator
         if len(self._cache) < self._CACHE_SIZE:
             self._cache[key] = entry
         return entry
@@ -317,22 +279,23 @@ class DriftField:
         return self.evaluator(x, t)
 
 
-def drift(state: WaveState, nu: float) -> DriftField:
+def drift(state: GaussianState | WaveState, nu: float) -> DriftField:
     """Drift field b = 2 nu dR/dx + dS/dx of a state.
 
-    Analytic states yield closed-form evaluators (time dependent for the free
-    Gaussian family).  Grid states are split as psi = exp(R + i S) on their
-    support, the contiguous range where |psi| clears the node threshold
-    (NodeEncountered if a node lies inside it), with S phase-unwrapped
-    outward from the grid center.  Central-difference gradients of R and S
-    there are interpolated linearly and extrapolated linearly outside; such
-    a field is frozen at the state's time, so it serves stationary dynamics
-    or one time slice of a moving state (FreeGridDriftEvaluator).
+    A :class:`GaussianState` yields its closed-form :class:`GaussianDrift`
+    (time dependent when spreading).  Grid states are split as
+    psi = exp(R + i S) on their support, the contiguous range where |psi|
+    clears the node threshold (NodeEncountered if a node lies inside it),
+    with S phase-unwrapped outward from the grid center.  Central-difference
+    gradients of R and S there are interpolated linearly and extrapolated
+    linearly outside; such a field is frozen at the state's time, so it
+    serves stationary dynamics or one time slice of a moving state
+    (FreeGridDriftEvaluator).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if state.representation == "analytic":
-        return DriftField(AnalyticDriftEvaluator(nu, state.dlog_amp, state.dphase))
+    if isinstance(state, GaussianState):
+        return DriftField(GaussianDrift(nu, state.t0, state.spreading))
     amps = state.amplitude
     mags = np.abs(amps)
     lo, hi = _support_bounds(mags)
@@ -355,32 +318,8 @@ def free_drift_field_from_grid(state: WaveState, nu: float) -> DriftField:
 
 
 # ---------------------------------------------------------------------------
-# Free propagation and momentum density
+# Momentum density
 # ---------------------------------------------------------------------------
-
-def propagate_free(initial: WaveState, t: float,
-                   extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """Propagate a state under the free equation to absolute time t.
-
-    Spectral evolution on the grid: each Fourier mode picks up the phase
-    exp(-i k^2 (t - t0) / 2).  Exactly norm preserving and time reversible.
-    Warns (GridTooNarrowWarning) when relative amplitude at either grid edge
-    exceeds 1e-8 before or after propagation.
-    """
-    if t == initial.time:
-        return initial
-    state = initial if initial.representation == "grid" else to_grid(initial, extent, points)
-    tau = t - state.time
-    amp = state.amplitude
-    k = 2.0 * np.pi * np.fft.fftfreq(len(state.grid), d=state.spacing)
-    out = np.fft.ifft(np.fft.fft(amp) * np.exp(-0.5j * k * k * tau))
-    edge = max(abs(amp[0]), abs(amp[-1]), abs(out[0]), abs(out[-1]))
-    if edge > BOUNDARY_AMPLITUDE * float(np.abs(out).max()):
-        warnings.warn(
-            f"relative boundary amplitude {edge:.2e} exceeds {BOUNDARY_AMPLITUDE:.0e}; "
-            "widen the grid extent", GridTooNarrowWarning)
-    return WaveState(representation="grid", time=float(t), grid=state.grid, amplitude=out)
-
 
 @dataclass
 class MomentumDensity:
@@ -400,7 +339,7 @@ class MomentumDensity:
         return np.interp(values, self.p, self._cdf / self._cdf[-1], left=0.0, right=1.0)
 
 
-def momentum_density(initial: WaveState,
+def momentum_density(initial: GaussianState | WaveState,
                      extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> MomentumDensity:
     """Momentum density of the t0 state via the discrete Fourier transform.
 
@@ -408,7 +347,7 @@ def momentum_density(initial: WaveState,
     DFT; zero padding to four times the grid length refines the P resolution
     so the numeric CDF is accurate enough for distribution tests.
     """
-    state = initial if initial.representation == "grid" else to_grid(initial, extent, points)
+    state = to_grid(initial, extent, points)
     amp = state.amplitude
     n = len(amp) * 4
     h = state.spacing
@@ -423,8 +362,8 @@ def momentum_density(initial: WaveState,
 # Serialization (columns: x, re_psi, im_psi / p, rho)
 # ---------------------------------------------------------------------------
 
-def write_state(state: WaveState, path) -> None:
-    grid_state = state if state.representation == "grid" else to_grid(state)
+def write_state(state: GaussianState | WaveState, path) -> None:
+    grid_state = to_grid(state)
     tableio.write_table(path, {
         "x": grid_state.grid,
         "re_psi": grid_state.amplitude.real,

@@ -143,7 +143,7 @@ def test_criterion_9_spectral_propagator():
     worst = 0.0
     norm_drift = 0.0
     for tau in (0.5, 2.0):
-        out = wf.propagate_free(initial, tau)
+        out = wf.FreeGridDriftEvaluator(initial, 0.5).state(tau)
         exact = wf.free_gaussian_state(time=tau, t0=0.0).psi(initial.grid)
         worst = max(worst, float(np.max(np.abs(out.amplitude - exact))))
         norm = out.spacing * float(np.sum(np.abs(out.amplitude) ** 2))

@@ -61,7 +61,7 @@ def test_first_node_probe_finds_the_default_grid_node(bench):
     assert bench.first_node_t() == 2.47
 
 
-@pytest.mark.parametrize("workload", ["grid-run", "path-dump"])
+@pytest.mark.parametrize("workload", ["oscillator-run", "grid-run", "path-dump"])
 def test_workload_ensemble_matches_its_golden(bench, tmp_path, workload):
     # the benchmark's config at its golden seed, on one worker, through the CLI:
     # pins the per-path stream contract bit for bit

@@ -380,13 +380,14 @@ def test_verify_closed_form_check_scales_with_coarse_dt():
     assert coarse.data["devs"][0.1] > 10.0 * fine.data["devs"][1e-3]
 
 
-def test_verify_negative_control_flipped_gamma():
+def test_verify_negative_control_flipped_gamma(monkeypatch):
     def tampered(t, scen):
         tau = np.asarray(t, dtype=float) - scen.t0
         return -2.0 * scen.nu * np.arctan(tau) - 0.5 * np.log1p(tau * tau)
 
     good = verify.check_coupled_closed_form(n_paths=10, seed=7)
-    bad = verify.check_coupled_closed_form(n_paths=10, seed=7, gamma_fn=tampered)
+    monkeypatch.setattr(oscillator, "gamma", tampered)
+    bad = verify.check_coupled_closed_form(n_paths=10, seed=7)
     assert good.passed
     assert not bad.passed
 

@@ -3,12 +3,14 @@
 import functools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from stochmech import momentum, sde
 from stochmech import wavefunction as wf
+from stochmech.errors import GridTooNarrowWarning
 from stochmech.scenarios import Scenario
 
 OSC = Scenario(kind="oscillator-ground", nu=0.5)
@@ -24,6 +26,16 @@ def momentum_of(params, free_positions, policy):
 # ---------------------------------------------------------------------------
 # truncation policies
 # ---------------------------------------------------------------------------
+
+def test_extrapolated_policy_refuses_a_one_step_horizon():
+    # one step leaves one distinct checkpoint, which fits no a + c / T
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1e-3, seed=0)
+    for run in (momentum.plan, momentum.collect):
+        with pytest.raises(ValueError, match="two or more checkpoints"):
+            run(OSC, params, 10, policy="extrapolated")
+    two_steps = sde.SimParams(nu=0.5, dt=1e-3, horizon=2e-3, seed=0)
+    assert np.all(np.isfinite(momentum.collect(OSC, two_steps, 10, policy="extrapolated").values))
+
 
 def test_ratio_policy_on_straight_line_path():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=0)
@@ -257,6 +269,29 @@ def test_grid_custom_scenario_runs():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=23)
     ensemble = momentum.collect(scenario, params, 3)
     assert len(ensemble) == 3
+    assert np.all(np.isfinite(ensemble.values))
+
+
+def test_narrow_grid_run_warns_once_per_process():
+    # on +-6 the ground state's edge amplitude, exp(-18) of its peak, is past
+    # the boundary threshold from the first free slice on; every slice warns
+    # with one message, so the default filter shows it once
+    scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-6.0, 6.0),
+                        grid_points=256)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.1, seed=37)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        momentum.collect(scenario, params, 20, chunk_size=10, workers=1)
+    assert [w.category for w in caught] == [GridTooNarrowWarning]
+
+
+def test_default_grid_run_does_not_warn():
+    # grid-run's horizon on the default grid stays clear of the edges
+    scenario = Scenario(kind="grid-custom", nu=0.5)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.25, seed=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensemble = momentum.collect(scenario, params, 20)
     assert np.all(np.isfinite(ensemble.values))
 
 

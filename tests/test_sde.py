@@ -9,7 +9,7 @@ from stochmech import sde
 from stochmech import wavefunction as wf
 from stochmech.errors import NoConvergence
 from stochmech.scenarios import GaussianInitialSampler
-from stochmech.wavefunction import DriftField, ZeroField
+from stochmech.wavefunction import DriftField
 
 
 def oscillator_drift(nu=0.5):
@@ -20,8 +20,12 @@ def free_drift(nu=0.5):
     return wf.drift(wf.free_gaussian_state(time=0.0, t0=0.0), nu)
 
 
+def zero_field(x, t):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def zero_drift():
-    return DriftField(ZeroField())
+    return DriftField(zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,7 @@ def test_zero_drift_gives_pure_wiener_path():
 
 def test_integrate_counts_out_of_domain_excursions():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=2)
-    narrow = DriftField(ZeroField(), domain=(-0.01, 0.01))
+    narrow = DriftField(zero_field, domain=(-0.01, 0.01))
     path = sde.integrate(narrow, 0.0, params)
     assert path.ood_count > 0
 
@@ -317,7 +321,7 @@ def test_batch_checkpoints_and_weights():
 
 def test_batch_out_of_domain_diagnostics():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=47)
-    narrow = DriftField(ZeroField(), domain=(-0.005, 0.005))
+    narrow = DriftField(zero_field, domain=(-0.005, 0.005))
     sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
     chunk = sde.simulate_coupled_ensemble(narrow, narrow, sampler, params, range(3))
     assert np.all(chunk.ood_interacting > 0)
@@ -327,7 +331,7 @@ def test_scalar_and_batch_count_out_of_domain_alike():
     # one rule everywhere: x < lo or x > hi, so a NaN position is not counted
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=53)
     narrow = DriftField(lambda x, t: np.where(x > 0.05, np.nan, 0.0), domain=(-0.02, 0.03))
-    narrow_free = DriftField(ZeroField(), domain=(-0.05, 0.01))
+    narrow_free = DriftField(zero_field, domain=(-0.05, 0.01))
     sampler = GaussianInitialSampler(sigma=0.02)
     chunk = sde.simulate_coupled_ensemble(narrow, narrow_free, sampler, params, range(6),
                                           record_indices=[params.steps])

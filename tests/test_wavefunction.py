@@ -82,6 +82,20 @@ def test_free_gaussian_drift_matches_finite_differences():
     assert np.max(np.abs(field(x, 1.3) - (2.0 * nu * dr + ds))) < 1e-8
 
 
+def test_gaussian_drifts_keep_their_float_expressions_bit_for_bit():
+    # the ensemble goldens rest on these exact expressions; t is an array of
+    # times as the Picard solver passes it
+    nu, t0 = 0.5, 0.3
+    x = np.random.default_rng(2).uniform(-6.0, 6.0, 1000)
+    t = t0 + np.linspace(0.0, 5.0, 1000)
+    tau = t - t0
+    held = wf.drift(wf.harmonic_ground_state(time=t0), nu)(x, t)
+    spreading = wf.drift(wf.free_gaussian_state(time=t0, t0=t0), nu)(x, t)
+    assert np.array_equal(held.view(np.int64), (2.0 * nu * -x).view(np.int64))
+    expected = 2.0 * nu * (-x / (1 + tau * tau)) + x * (tau / (1 + tau * tau))
+    assert np.array_equal(spreading.view(np.int64), expected.view(np.int64))
+
+
 def test_constant_state_has_zero_drift():
     x = np.linspace(0.0, 1.0, 64)
     state = wf.WaveState.from_grid(x, np.ones_like(x))
@@ -176,18 +190,24 @@ def test_grid_lookup_matches_binary_search_bit_for_bit(source, t, tmp_path, monk
 
 
 # ---------------------------------------------------------------------------
-# propagate_free
+# free propagation: FreeGridDriftEvaluator.state
 # ---------------------------------------------------------------------------
+
+def propagate(initial, t):
+    return wf.FreeGridDriftEvaluator(initial, 0.5).state(t)
+
 
 def test_propagate_identity_at_start_time():
     state = wf.to_grid(wf.harmonic_ground_state())
-    assert wf.propagate_free(state, 0.0) is state
+    out = propagate(state, 0.0)
+    assert out.time == 0.0 and out.grid is state.grid
+    assert np.max(np.abs(out.amplitude - state.amplitude)) < 1e-15
 
 
 @pytest.mark.parametrize("tau", [0.5, 2.0])
 def test_spectral_propagation_matches_closed_form(tau):
     initial = wf.to_grid(wf.harmonic_ground_state())
-    out = wf.propagate_free(initial, tau)
+    out = propagate(initial, tau)
     exact = wf.free_gaussian_state(time=tau, t0=0.0).psi(initial.grid)
     assert np.max(np.abs(out.amplitude - exact)) < 1e-6
     assert abs(_norm(out) - 1.0) < 1e-10
@@ -195,8 +215,8 @@ def test_spectral_propagation_matches_closed_form(tau):
 
 def test_propagation_is_time_reversible():
     initial = wf.to_grid(wf.harmonic_ground_state())
-    forward = wf.propagate_free(initial, 1.5)
-    back = wf.propagate_free(forward, 0.0)
+    forward = propagate(initial, 1.5)
+    back = propagate(forward, 0.0)
     assert np.max(np.abs(back.amplitude - initial.amplitude)) < 1e-9
     assert abs(_norm(forward) - _norm(initial)) < 1e-10
 
@@ -205,7 +225,7 @@ def test_propagation_warns_when_grid_too_narrow():
     x = np.linspace(-4.0, 4.0, 256)
     state = wf.WaveState.from_grid(x, np.exp(-0.5 * x * x))
     with pytest.warns(GridTooNarrowWarning):
-        wf.propagate_free(state, 3.0)
+        propagate(state, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +283,7 @@ def test_make_free_state_spreads_like_gaussian_family():
 
 def test_make_grid_state_is_normalized():
     state = wf.to_grid(wf.harmonic_ground_state(), points=1024)
-    assert state.representation == "grid"
+    assert isinstance(state, wf.WaveState)
     assert abs(_norm(state) - 1.0) < 1e-10
 
 

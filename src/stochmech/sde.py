@@ -17,6 +17,7 @@ of numpy's SeedSequence hash; the tests check its words and draws against
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -54,6 +55,9 @@ class SimParams:
     path_index: int = 0
 
     def __post_init__(self):
+        for name in ("nu", "dt", "horizon", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.dt <= 0:

@@ -19,6 +19,9 @@ from .scenarios import Scenario
 AUTOCOV_LAGS = (0.0, 0.5, 1.0, 2.0)
 AUTOCOV_T_REF = 1.0
 AUTOCOV_SPACING = 0.5
+# paths per evaluation of the closed-form oracle: its temporaries stay a
+# small share of one (steps x paths) mesh
+CLOSED_FORM_PATHS = 5
 
 
 @dataclass
@@ -42,12 +45,27 @@ def _oscillator_fields(nu: float):
 def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     """Increments (steps, n_paths) and initial positions of paths
     0..n_paths-1, each from its own streams, for the batch integrators."""
-    noise = sde.path_rngs(params.seed, range(n_paths), sde.STREAM_NOISE)
-    dw = np.stack([rng.standard_normal(params.steps) for rng in noise], axis=1)
+    dw = np.empty((params.steps, n_paths))
+    for j, rng in enumerate(sde.path_rngs(params.seed, range(n_paths), sde.STREAM_NOISE)):
+        dw[:, j] = rng.standard_normal(params.steps)
     dw *= params.noise_scale
     initial = sde.path_rngs(params.seed, range(n_paths), sde.STREAM_INITIAL)
     x0 = np.array([float(sampler(rng)) for rng in initial])
     return dw, x0
+
+
+def _mean_sup_deviation(times, x, free_x, scen) -> float:
+    """Mean over paths of max |free_x - x_F| on the mesh, x_F the closed form
+    of the paths ``x``.  It is evaluated CLOSED_FORM_PATHS paths at a time,
+    each group copied to column-major order so its cumulative sums run down
+    contiguous memory; every path's values are those of one whole-matrix
+    evaluation, bit for bit."""
+    sup = []
+    for j in range(0, x.shape[1], CLOSED_FORM_PATHS):
+        cols = slice(j, j + CLOSED_FORM_PATHS)
+        cf = oscillator.coupled_path_closed_form(times, np.asfortranarray(x[:, cols]), scen)
+        sup.append(np.max(np.abs(free_x[:, cols] - cf), axis=0))
+    return float(np.mean(np.concatenate(sup)))
 
 
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
@@ -57,22 +75,26 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
 
     The sup-norm deviation must scale like C dt: the fine run uses halved
     steps on pairwise-coarsened increments of the same Brownian realization,
-    and the measured C must be stable within +-50%.
+    and the measured C must be stable within +-50%.  The fine mesh runs
+    first and its increments are dropped once coarsened, and the closed form
+    is evaluated a few paths at a time (:func:`_mean_sup_deviation`), so at
+    most the increments, x and x_F of one mesh are held whole at once.
     """
     scen = oscillator.OscillatorScenario(nu=nu)
     scenario, interacting, free = _oscillator_fields(nu)
     sampler = scenario.initial_sampler()
     params_fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
-    dw_fine, x0 = _draw_paths(params_fine, sampler, n_paths)
-    params_coarse = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    dw_coarse = dw_fine[0::2] + dw_fine[1::2]
+    dw, x0 = _draw_paths(params_fine, sampler, n_paths)
 
-    devs = {}
-    for params, dw in ((params_coarse, dw_coarse), (params_fine, dw_fine)):
+    def deviation_on(params, dw):
         x = sde.integrate_batch(interacting, x0, params, dw)
         xf = sde.co_integrate_batch(free, x, params, dw)
-        cf = oscillator.coupled_path_closed_form(params.times(), x, scen)
-        devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
+        return _mean_sup_deviation(params.times(), x, xf, scen)
+
+    dev_fine = deviation_on(params_fine, dw)
+    dw = dw[0::2] + dw[1::2]            # the coarse increments replace the fine ones
+    dev_coarse = deviation_on(sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed), dw)
+    devs = {dt: dev_coarse, 0.5 * dt: dev_fine}
     c_coarse = devs[dt] / dt
     c_fine = devs[0.5 * dt] / (0.5 * dt)
     ratio = c_coarse / c_fine
@@ -195,11 +217,11 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
                      closed_form_paths: int = 100) -> list:
     """Full oracle battery at the given scale (oscillator scenario only).
 
-    The chunks of its four ensembles and the two batch checks are jobs on one
-    pool of ``workers`` processes (in this process for one worker), so the
-    work is balanced by chunk; the three ensemble checks then reduce from the
-    results.  Every job is a pure function of its seeds, so the results do not
-    depend on ``workers``.
+    The two batch checks and then the chunks of its four ensembles are jobs
+    on one pool of ``workers`` processes (in this process for one worker), so
+    the work is balanced by chunk; the three ensemble checks then reduce from
+    the results.  Every job is a pure function of its seeds, so the results
+    do not depend on ``workers``.
     """
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
     weights = oscillator.momentum_quadrature_weights(
@@ -222,11 +244,13 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
                           n_paths=closed_form_paths, seed=seed + 101),
         functools.partial(check_picard_equivalence, nu=nu, dt=dt, seed=seed + 202),
     ]
-    results = iter(momentum.run_jobs(
-        [job for p in plans for job in p.jobs] + batch_checks, workers))
+    # the batch checks go to the pool first: with 1,000 paths to T = 10 the
+    # closed-form check is the longest job
+    closed_form, picard, *chunks = momentum.run_jobs(
+        batch_checks + [job for p in plans for job in p.jobs], workers)
+    chunks = iter(chunks)
     base_ensemble, *by_nu, autocov_ensemble = [
-        p.reduce([next(results) for _ in p.jobs]) for p in plans]
-    closed_form, picard = results
+        p.reduce([next(chunks) for _ in p.jobs]) for p in plans]
     return [
         closed_form,
         picard,

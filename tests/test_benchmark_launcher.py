@@ -56,6 +56,24 @@ def bench(monkeypatch):
     return run
 
 
+def test_traced_verify_counts_the_benchmark_path_steps(bench, tmp_path):
+    # the benchmark counts verify's path-steps from its parameters; the
+    # closed-form and Picard checks must step their paths through the batch
+    # integrator the launcher counts
+    paths, horizon = 40, 2.0
+    done = subprocess.run([sys.executable, str(LAUNCH), str(tmp_path), "--trace", "--",
+                           "verify", "--paths", str(paths), "--horizon", repr(horizon),
+                           "--workers", "1", "--out", str(tmp_path / "runs")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines), done.stdout
+    steps = sum(json.loads(line)["counts"].get("sde.path_steps", 0)
+                for trace in tmp_path.glob("trace.*.jsonl")
+                for line in trace.read_text().splitlines())
+    assert steps == bench.verify_path_steps(paths, horizon)
+
+
 def test_first_node_probe_finds_the_default_grid_node(bench):
     # the free drift of the default grid meets a node at t = 2.47
     assert bench.first_node_t() == 2.47

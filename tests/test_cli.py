@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,34 @@ def test_verify_closed_form_check_scales_with_coarse_dt():
     coarse = verify.check_coupled_closed_form(dt=0.1, n_paths=20, seed=7)
     assert coarse.passed                      # threshold scales with dt
     assert coarse.data["devs"][0.1] > 10.0 * fine.data["devs"][1e-3]
+
+
+@pytest.mark.parametrize("n_paths", [1, verify.CLOSED_FORM_PATHS - 1, verify.CLOSED_FORM_PATHS,
+                                     verify.CLOSED_FORM_PATHS + 1,
+                                     3 * verify.CLOSED_FORM_PATHS + 7])
+def test_closed_form_deviation_in_path_groups_matches_the_whole_matrix(n_paths):
+    rng = np.random.default_rng(n_paths)
+    scen = oscillator.OscillatorScenario(nu=0.75, t0=0.3)
+    times = 0.3 + 1e-3 * np.arange(1201)
+    x = 0.1 * rng.standard_normal((len(times), n_paths)).cumsum(axis=0)
+    xf = x + 1e-3 * np.sin(x)
+    whole = oscillator.coupled_path_closed_form(times, x, scen)
+    expected = float(np.mean(np.max(np.abs(xf - whole), axis=0)))
+    got = verify._mean_sup_deviation(times, x, xf, scen)
+    assert got.hex() == expected.hex()
+
+
+def test_closed_form_check_holds_one_mesh_at_a_time():
+    # the fine mesh's increments, x and x_F are three (20,001 x 100) arrays;
+    # the closed form and its deviation are never held for all paths at once
+    tracemalloc.start()
+    try:
+        result = verify.check_coupled_closed_form(n_paths=100, horizon=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 4 * 20001 * 100 * 8
 
 
 def test_verify_negative_control_flipped_gamma(monkeypatch):

@@ -47,6 +47,14 @@ def test_params_validation():
     assert times[0] == 0.0 and len(times) == 50001
 
 
+@pytest.mark.parametrize("name", ["nu", "dt", "horizon", "t0"])
+def test_params_refuse_non_finite_fields(name):
+    fields = dict(nu=0.5, dt=1e-3, horizon=1.0, t0=0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            sde.SimParams(**{**fields, name: value})
+
+
 @pytest.mark.parametrize("nu,dt,expected_var", [
     (0.5, 1e-3, 1e-3),
     (1.0, 0.5, 1.0),

@@ -57,28 +57,48 @@ def momentum_quadrature_weights(times: np.ndarray, scen: OscillatorScenario) -> 
         np.exp(gamma(times, scen)) * (2.0 * scen.nu - gamma_rate(times, scen)))
 
 
-def coupled_path_closed_form(times, positions, scen: OscillatorScenario) -> np.ndarray:
+def coupled_path_closed_form(times, positions, scen: OscillatorScenario, carry=None):
     """Evaluate the integrating-factor solution for x_F on a path mesh.
 
     The dx integral is the pathwise left-endpoint Riemann-Stieltjes sum (the
     integrand is deterministic in t, so there is no Ito/Stratonovich
     ambiguity); the dt integral uses the trapezoid rule.  ``positions`` is
     one path of len(times) values or a (len(times), n_paths) matrix.
+
+    Returns x_F and the carry (x(t0) and the two running sums at the last
+    row).  A mesh may be walked in row blocks, each starting on the last row
+    of the one before: the first block passes ``carry=None`` and each later
+    one its predecessor's carry.  The carry heads each block's cumulative
+    sums, so every partial sum, and x_F, is that of one whole-mesh call bit
+    for bit.
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(positions, dtype=float)
+    x0, rs0, tz0 = (x[0], 0.0, 0.0) if carry is None else carry
     g = gamma(times, scen)
     eg = np.exp(g)
     dts = np.diff(times)
     if x.ndim == 2:
         g, eg, dts = g[:, None], eg[:, None], dts[:, None]
-    dx = np.diff(x, axis=0)
-    rs = np.zeros_like(x)
-    np.cumsum(eg[:-1] * dx, axis=0, out=rs[1:])
+    rs = np.empty_like(x)
+    rs[0] = rs0
+    rs[1:] = eg[:-1] * np.diff(x, axis=0)
+    np.cumsum(rs, axis=0, out=rs)
     integrand = eg * x
-    tz = np.zeros_like(x)
-    np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dts, axis=0, out=tz[1:])
-    return np.exp(-g) * (x[0] + rs + 2.0 * scen.nu * tz)
+    tz = np.empty_like(x)
+    tz[0] = tz0
+    np.add(integrand[1:], integrand[:-1], out=tz[1:])
+    tz[1:] *= 0.5
+    tz[1:] *= dts
+    np.cumsum(tz, axis=0, out=tz)
+    carry = np.array([x0, rs[-1], tz[-1]])
+    # exp(-g) (x(t0) + rs + 2 nu tz): the same products and sums, in place so
+    # that a row block makes few temporaries of its size
+    tz *= 2.0 * scen.nu
+    rs += x0
+    rs += tz
+    rs *= np.exp(-g)
+    return rs, carry
 
 
 # ---------------------------------------------------------------------------

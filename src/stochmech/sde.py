@@ -34,9 +34,11 @@ STREAM_INITIAL = 1
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
-# Steps of noise drawn per path at once by the ensemble kernel.  Its one
-# (BLOCK x paths) noise buffer sets much of a run's peak memory; the value
-# changes no output, since each path's stream is sequential.
+# Steps of noise drawn per path at once by the ensemble kernel and by the
+# closed-form check of ``verify``.  Each holds one (BLOCK x paths) noise
+# buffer, which sets much of its peak memory; the value changes no output,
+# since each path's stream is sequential.  It is even, so no pair of steps
+# that the closed-form check coarsens straddles two blocks.
 BLOCK = 512
 # Paths whose noise rows are drawn into a small (TILE x BLOCK) tile, which is
 # then scaled and transposed into the noise buffer in one pass.
@@ -324,22 +326,35 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
 
 
 def integrate_batch(drift: DriftField, x0: np.ndarray, params: SimParams,
-                    increments: np.ndarray) -> np.ndarray:
+                    increments: np.ndarray, start: int = 0) -> np.ndarray:
     """Euler-Maruyama for many paths at once on caller-supplied increments.
 
-    ``increments`` has shape (steps, n); returns positions (steps+1, n).
-    Columns are bit-identical to single-path :func:`integrate` runs on the
-    same increment columns.
+    Steps the positions ``x0`` (one per path) at row ``start`` of the mesh
+    ``params.times()`` through the (m, n) ``increments`` and returns the
+    (m + 1, n) positions of rows start..start + m; ValueError when those
+    rows overrun the mesh.  Every call reads its times from that one mesh, so
+    a mesh stepped in several calls, each from the last row of the one before,
+    equals one call bit for bit.  Columns are bit-identical to single-path
+    :func:`integrate` runs on the same increment columns.
     """
-    if increments.shape[0] != params.steps:
-        raise ValueError("increments rows must equal params.steps")
-    return _path(drift, x0, params.times(), params.dt, increments)[0]
+    return _batch(drift, x0, params, increments, start)
 
 
-def co_integrate_batch(free: DriftField, base_positions: np.ndarray,
-                       params: SimParams, increments: np.ndarray) -> np.ndarray:
-    """Free-side co-integration for a batch of base paths (shared increments)."""
-    return _path(free, base_positions[0], params.times(), params.dt, increments)[0]
+def co_integrate_batch(free: DriftField, xf0: np.ndarray, params: SimParams,
+                       increments: np.ndarray, start: int = 0) -> np.ndarray:
+    """Free-side co-integration for a batch of paths: :func:`integrate_batch`
+    of the free drift from ``xf0`` on the base paths' increments (shared
+    noise).  x_F starts where x does, so from step 0 ``xf0`` is ``x0``."""
+    return _batch(free, xf0, params, increments, start)
+
+
+def _batch(drift: DriftField, x0, params: SimParams, dw: np.ndarray, start: int):
+    # the two public names are counted apart by wrappers installed on the
+    # module, so neither calls the other
+    if not 0 <= start <= params.steps - len(dw):
+        raise ValueError(f"{len(dw)} increments from step {start} overrun "
+                         f"the mesh's {params.steps} steps")
+    return _path(drift, x0, params.times()[start:], params.dt, dw)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,6 @@ from .scenarios import Scenario
 AUTOCOV_LAGS = (0.0, 0.5, 1.0, 2.0)
 AUTOCOV_T_REF = 1.0
 AUTOCOV_SPACING = 0.5
-# paths per evaluation of the closed-form oracle: its temporaries stay a
-# small share of one (steps x paths) mesh
-CLOSED_FORM_PATHS = 5
 
 
 @dataclass
@@ -42,6 +39,12 @@ def _oscillator_fields(nu: float):
     return scenario, interacting, free
 
 
+def _initial_positions(seed: int, sampler, n_paths: int) -> np.ndarray:
+    """Initial positions of paths 0..n_paths-1, each from its own stream."""
+    initial = sde.path_rngs(seed, range(n_paths), sde.STREAM_INITIAL)
+    return np.array([float(sampler(rng)) for rng in initial])
+
+
 def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     """Increments (steps, n_paths) and initial positions of paths
     0..n_paths-1, each from its own streams, for the batch integrators."""
@@ -49,23 +52,7 @@ def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     for j, rng in enumerate(sde.path_rngs(params.seed, range(n_paths), sde.STREAM_NOISE)):
         dw[:, j] = rng.standard_normal(params.steps)
     dw *= params.noise_scale
-    initial = sde.path_rngs(params.seed, range(n_paths), sde.STREAM_INITIAL)
-    x0 = np.array([float(sampler(rng)) for rng in initial])
-    return dw, x0
-
-
-def _mean_sup_deviation(times, x, free_x, scen) -> float:
-    """Mean over paths of max |free_x - x_F| on the mesh, x_F the closed form
-    of the paths ``x``.  It is evaluated CLOSED_FORM_PATHS paths at a time,
-    each group copied to column-major order so its cumulative sums run down
-    contiguous memory; every path's values are those of one whole-matrix
-    evaluation, bit for bit."""
-    sup = []
-    for j in range(0, x.shape[1], CLOSED_FORM_PATHS):
-        cols = slice(j, j + CLOSED_FORM_PATHS)
-        cf = oscillator.coupled_path_closed_form(times, np.asfortranarray(x[:, cols]), scen)
-        sup.append(np.max(np.abs(free_x[:, cols] - cf), axis=0))
-    return float(np.mean(np.concatenate(sup)))
+    return dw, _initial_positions(params.seed, sampler, n_paths)
 
 
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
@@ -75,26 +62,43 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
 
     The sup-norm deviation must scale like C dt: the fine run uses halved
     steps on pairwise-coarsened increments of the same Brownian realization,
-    and the measured C must be stable within +-50%.  The fine mesh runs
-    first and its increments are dropped once coarsened, and the closed form
-    is evaluated a few paths at a time (:func:`_mean_sup_deviation`), so at
-    most the increments, x and x_F of one mesh are held whole at once.
+    and the measured C must be stable within +-50%.  Both meshes are walked
+    together in blocks of ``sde.BLOCK`` fine steps: each block draws every
+    path's next increments into one reused buffer, steps x and x_F on both
+    meshes from their last rows, evaluates the closed form on the block from
+    its carry and folds |x_F - closed form| into a per-path running max.  No
+    (steps x paths) array is held, and every value is that of one whole-mesh
+    evaluation, bit for bit.
     """
     scen = oscillator.OscillatorScenario(nu=nu)
     scenario, interacting, free = _oscillator_fields(nu)
-    sampler = scenario.initial_sampler()
-    params_fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
-    dw, x0 = _draw_paths(params_fine, sampler, n_paths)
+    fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
+    coarse = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
+    x0 = _initial_positions(seed, scenario.initial_sampler(), n_paths)
+    # per mesh: last rows of x and x_F, closed-form carry, per-path running max
+    state = {params: (x0, x0, None, np.zeros(n_paths)) for params in (fine, coarse)}
 
-    def deviation_on(params, dw):
-        x = sde.integrate_batch(interacting, x0, params, dw)
-        xf = sde.co_integrate_batch(free, x, params, dw)
-        return _mean_sup_deviation(params.times(), x, xf, scen)
+    def advance(params, start, dw):
+        x_last, xf_last, carry, sup = state[params]
+        x = sde.integrate_batch(interacting, x_last, params, dw, start)
+        xf = sde.co_integrate_batch(free, xf_last, params, dw, start)
+        cf, carry = oscillator.coupled_path_closed_form(
+            params.times()[start:start + len(x)], x, scen, carry)
+        # copies of the last rows, so the block's arrays are freed before the next
+        state[params] = (x[-1].copy(), xf[-1].copy(), carry,
+                         np.maximum(sup, np.max(np.abs(xf - cf), axis=0)))
 
-    dev_fine = deviation_on(params_fine, dw)
-    dw = dw[0::2] + dw[1::2]            # the coarse increments replace the fine ones
-    dev_coarse = deviation_on(sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed), dw)
-    devs = {dt: dev_coarse, 0.5 * dt: dev_fine}
+    rngs = list(sde.path_rngs(seed, range(n_paths), sde.STREAM_NOISE))
+    buf = np.empty((min(sde.BLOCK, fine.steps), n_paths))
+    for k in range(0, fine.steps, sde.BLOCK):
+        dw = buf[:min(sde.BLOCK, fine.steps - k)]
+        for j, rng in enumerate(rngs):
+            dw[:, j] = rng.standard_normal(len(dw))
+        dw *= fine.noise_scale
+        advance(fine, k, dw)
+        # BLOCK is even, so the coarse increments are sums of pairs within the block
+        advance(coarse, k // 2, dw[0::2] + dw[1::2])
+    devs = {dt: float(np.mean(state[coarse][3])), 0.5 * dt: float(np.mean(state[fine][3]))}
     c_coarse = devs[dt] / dt
     c_fine = devs[0.5 * dt] / (0.5 * dt)
     ratio = c_coarse / c_fine
@@ -119,7 +123,7 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
     dw, x0 = _draw_paths(params, sampler, n_paths)
     x = sde.integrate_batch(interacting, x0, params, dw)
-    direct = sde.co_integrate_batch(free, x, params, dw)
+    direct = sde.co_integrate_batch(free, x0, params, dw)
     times = params.times()
     worst_gap = 0.0
     worst_ratio = 0.0
@@ -193,13 +197,19 @@ def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble, nu_ensembles: 
     """Momentum variance and distribution must not depend on nu.
 
     ``nu_ensembles`` maps each other nu to its ensemble, of the same size as
-    ``base_ensemble`` (at ``base_nu``).
+    ``base_ensemble`` (at ``base_nu``).  Each Var(P) must lie within three
+    standard errors, 3 v sqrt(2 / M), of v, the exact Var(P) of the Euler
+    scheme at the base ensemble's horizon T and step, (1 + 1/T^2) / 2 as
+    the step vanishes.
     """
-    band = 3.0 * 0.5 * math.sqrt(2.0 / len(base_ensemble))
+    horizon, dt = base_ensemble.provenance["horizon"], base_ensemble.provenance["dt"]
+    target = oscillator.euler_covariance(
+        horizon, oscillator.OscillatorScenario(nu=base_nu), dt)[2, 2] / horizon ** 2
+    band = 3.0 * target * math.sqrt(2.0 / len(base_ensemble))
     results = {base_nu: base_ensemble.values}
     results.update({nu: ensemble.values for nu, ensemble in nu_ensembles.items()})
     variances = {nu: float(np.var(v, ddof=1)) for nu, v in results.items()}
-    var_ok = all(abs(v - 0.5) <= band for v in variances.values())
+    var_ok = all(abs(v - target) <= band for v in variances.values())
     pvals = {nu: stats.ks_two_sample(results[base_nu], results[nu]).pvalue
              for nu in nu_ensembles}
     ks_ok = all(p > 0.01 for p in pvals.values())

@@ -381,32 +381,59 @@ def test_verify_closed_form_check_scales_with_coarse_dt():
     assert coarse.data["devs"][0.1] > 10.0 * fine.data["devs"][1e-3]
 
 
-@pytest.mark.parametrize("n_paths", [1, verify.CLOSED_FORM_PATHS - 1, verify.CLOSED_FORM_PATHS,
-                                     verify.CLOSED_FORM_PATHS + 1,
-                                     3 * verify.CLOSED_FORM_PATHS + 7])
-def test_closed_form_deviation_in_path_groups_matches_the_whole_matrix(n_paths):
-    rng = np.random.default_rng(n_paths)
-    scen = oscillator.OscillatorScenario(nu=0.75, t0=0.3)
-    times = 0.3 + 1e-3 * np.arange(1201)
-    x = 0.1 * rng.standard_normal((len(times), n_paths)).cumsum(axis=0)
-    xf = x + 1e-3 * np.sin(x)
-    whole = oscillator.coupled_path_closed_form(times, x, scen)
-    expected = float(np.mean(np.max(np.abs(xf - whole), axis=0)))
-    got = verify._mean_sup_deviation(times, x, xf, scen)
-    assert got.hex() == expected.hex()
+def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
+    """The closed-form check's ``devs`` from whole-mesh arrays: all of every
+    path's increments drawn at once, each mesh stepped in one call."""
+    from stochmech import sde
+    from stochmech.scenarios import Scenario
+    scenario = Scenario(kind="oscillator-ground", nu=nu)
+    interacting, free = scenario.drift_fields()
+    sampler = scenario.initial_sampler()
+    fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
+    coarse = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
+    dw = np.stack([rng.standard_normal(fine.steps)
+                   for rng in sde.path_rngs(seed, range(n_paths), sde.STREAM_NOISE)], axis=1)
+    dw *= fine.noise_scale
+    x0 = np.array([float(sampler(rng))
+                   for rng in sde.path_rngs(seed, range(n_paths), sde.STREAM_INITIAL)])
+    devs = {}
+    for params, incs in ((fine, dw), (coarse, dw[0::2] + dw[1::2])):
+        x = sde.integrate_batch(interacting, x0, params, incs)
+        xf = sde.co_integrate_batch(free, x0, params, incs)
+        cf, _ = oscillator.coupled_path_closed_form(
+            params.times(), x, oscillator.OscillatorScenario(nu=nu))
+        devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
+    return devs
+
+
+@pytest.mark.parametrize("n_paths", [1, 7])
+@pytest.mark.parametrize("fine_steps", [200, 512, 514, 1300])
+def test_streamed_closed_form_check_matches_whole_meshes(fine_steps, n_paths):
+    # dt/2 meshes shorter than the 512-step block, one block, one block and a
+    # pair, and a short last block; the check holds no whole mesh
+    from stochmech import sde
+    assert sde.BLOCK == 512
+    dt = 1e-3
+    horizon = fine_steps * 0.5 * dt
+    result = verify.check_coupled_closed_form(dt=dt, horizon=horizon, n_paths=n_paths, seed=5)
+    expected = _closed_form_devs_on_whole_meshes(0.5, dt, horizon, n_paths, 5)
+    assert {k: v.hex() for k, v in result.data["devs"].items()} == \
+        {k: v.hex() for k, v in expected.items()}
 
 
 def test_closed_form_check_holds_one_mesh_at_a_time():
-    # the fine mesh's increments, x and x_F are three (20,001 x 100) arrays;
-    # the closed form and its deviation are never held for all paths at once
-    tracemalloc.start()
-    try:
-        result = verify.check_coupled_closed_form(n_paths=100, horizon=10.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.passed
-    assert peak <= 4 * 20001 * 100 * 8
+    # the check streams its dt/2 mesh in blocks, so its peak does not grow
+    # with the horizon: below a quarter of one (steps + 1) x 100 array of
+    # that mesh at T = 10 (20,001 rows) and at T = 20
+    for horizon in (10.0, 20.0):
+        tracemalloc.start()
+        try:
+            result = verify.check_coupled_closed_form(n_paths=100, horizon=horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 0.25 * (round(horizon / 5e-4) + 1) * 100 * 8, (horizon, peak)
 
 
 def test_verify_negative_control_flipped_gamma(monkeypatch):
@@ -419,6 +446,33 @@ def test_verify_negative_control_flipped_gamma(monkeypatch):
     bad = verify.check_coupled_closed_form(n_paths=10, seed=7)
     assert good.passed
     assert not bad.passed
+
+
+def _momentum_ensemble(values, horizon, dt=1e-3):
+    return momentum.MomentumEnsemble(values=values, path_indices=np.arange(len(values)),
+                                     horizon_used=horizon,
+                                     provenance={"horizon": horizon, "dt": dt})
+
+
+@pytest.mark.parametrize("variance,passes", [("euler", True), (0.5, False)])
+def test_nu_invariance_band_is_centred_on_the_finite_horizon_variance(variance, passes):
+    # at T = 1, Var(P) of the Euler scheme is 0.9997, not the T -> inf value 1/2
+    horizon = 1.0
+    if variance == "euler":
+        variance = oscillator.euler_covariance(
+            horizon, oscillator.OscillatorScenario(nu=0.5), 1e-3)[2, 2] / horizon ** 2
+    z = np.random.default_rng(3).standard_normal(1000)
+    values = math.sqrt(variance) * (z - z.mean()) / z.std(ddof=1)
+    others = {nu: _momentum_ensemble(values.copy(), horizon) for nu in (0.25, 1.0)}
+    result = verify.check_nu_invariance(_momentum_ensemble(values, horizon), others)
+    assert result.passed is passes, result.line()
+
+
+def test_verify_cli_passes_at_a_short_horizon(capsys):
+    code = run_main("verify", "--paths", "40", "--horizon", "1", "--workers", "1")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0, lines
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines), lines
 
 
 def test_batched_picard_check_matches_the_scalar_route():

@@ -104,10 +104,10 @@ def test_closed_form_trivial_cases():
     zeros = np.zeros(params.steps)
     field = wf.drift(wf.harmonic_ground_state(), params.nu)
     path = sde.integrate(field, 0.0, params, increments=zeros)
-    xf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)
+    xf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)[0]
     assert np.allclose(xf, 0.0, atol=1e-15)
     path2 = _simulate_base(params, x0=0.8)
-    xf2 = osc.coupled_path_closed_form(path2.times, path2.positions, SCEN)
+    xf2 = osc.coupled_path_closed_form(path2.times, path2.positions, SCEN)[0]
     assert xf2[0] == pytest.approx(0.8, abs=1e-14)
 
 
@@ -121,7 +121,7 @@ def test_closed_form_agrees_with_co_integration_at_order_dt():
         for index in range(10):
             path = _simulate_base(params.with_path_index(index))
             pair = sde.co_integrate((interacting, free), path)
-            cf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)
+            cf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)[0]
             per_path.append(np.max(np.abs(pair.free_positions - cf)))
         devs[dt] = np.mean(per_path)
     c_coarse = devs[2e-3] / 2e-3
@@ -134,10 +134,28 @@ def test_closed_form_matrix_matches_per_path():
     params = sde.SimParams(nu=SCEN.nu, dt=1e-3, horizon=2.0, seed=77)
     paths = [_simulate_base(params.with_path_index(i), x0=0.1 * i) for i in range(4)]
     matrix = np.stack([p.positions for p in paths], axis=1)
-    combined = osc.coupled_path_closed_form(params.times(), matrix, SCEN)
+    combined = osc.coupled_path_closed_form(params.times(), matrix, SCEN)[0]
     for i, p in enumerate(paths):
-        single = osc.coupled_path_closed_form(p.times, p.positions, SCEN)
+        single = osc.coupled_path_closed_form(p.times, p.positions, SCEN)[0]
         assert np.allclose(combined[:, i], single, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(1201,), (1201, 1), (1201, 7)])
+@pytest.mark.parametrize("rows", [2, 512, 600, 1200])
+def test_closed_form_in_row_blocks_equals_one_call_bitwise(shape, rows):
+    # blocks share their edge rows; the carry heads each block's cumulative
+    # sums, so every row is that of the whole-mesh call to the last bit
+    scen = osc.OscillatorScenario(nu=0.75, t0=0.3)
+    times = 0.3 + 1e-3 * np.arange(shape[0])
+    x = 0.1 * np.random.default_rng(rows).standard_normal(shape).cumsum(axis=0)
+    whole, whole_carry = osc.coupled_path_closed_form(times, x, scen)
+    blocks, carry = [], None
+    for k in range(0, len(times) - 1, rows):
+        rows_k = slice(k, min(k + rows, len(times) - 1) + 1)
+        xf, carry = osc.coupled_path_closed_form(times[rows_k], x[rows_k], scen, carry)
+        blocks.append(xf if k == 0 else xf[1:])
+    assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
+    assert np.array_equal(carry.view(np.int64), whole_carry.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +285,6 @@ def test_closed_form_with_shifted_start_time():
     free = wf.drift(wf.free_gaussian_state(time=t0, t0=t0), 0.5)
     path = sde.integrate(field, 0.3, params)
     pair = sde.co_integrate((field, free), path)
-    cf = osc.coupled_path_closed_form(path.times, path.positions, scen)
+    cf = osc.coupled_path_closed_form(path.times, path.positions, scen)[0]
     assert np.max(np.abs(pair.free_positions - cf)) < 0.05
     assert osc.gamma(t0, scen) == 0.0

@@ -372,3 +372,27 @@ def test_batch_rejects_indices_that_do_not_increase(rows):
     with pytest.raises(ValueError, match="strictly increasing"):
         sde.simulate_coupled_ensemble(field, field, sampler, params, range(2),
                                       record_indices=rows)
+
+
+@pytest.mark.parametrize("integrator", [sde.integrate_batch, sde.co_integrate_batch])
+@pytest.mark.parametrize("start,rows", [(0, 101), (1, 100), (60, 41), (100, 1), (-1, 10)])
+def test_batch_refuses_increments_that_overrun_the_mesh(integrator, start, rows):
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, seed=59)
+    with pytest.raises(ValueError, match="overrun the mesh"):
+        integrator(oscillator_drift(), np.zeros(3), params, np.zeros((rows, 3)), start)
+
+
+@pytest.mark.parametrize("integrator", [sde.integrate_batch, sde.co_integrate_batch])
+@pytest.mark.parametrize("split", [1, 37, 99])
+def test_batch_in_two_calls_equals_one_call(integrator, split):
+    # the free drift reads t, so a second call must take its times from the
+    # mesh at its start row
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, t0=0.3, seed=61)
+    rng = np.random.default_rng(split)
+    dw = params.noise_scale * rng.standard_normal((params.steps, 4))
+    x0 = rng.standard_normal(4)
+    whole = integrator(free_drift(), x0, params, dw)
+    head = integrator(free_drift(), x0, params, dw[:split])
+    tail = integrator(free_drift(), head[-1], params, dw[split:], split)
+    assert whole.shape == (params.steps + 1, 4)
+    assert np.array_equal(np.concatenate([head, tail[1:]]), whole)

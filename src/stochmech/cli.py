@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__, momentum, oscillator, sde, stats, tableio, verify
 from . import wavefunction as wf
 from .errors import ConfigError, StochmechError
-from .momentum import POLICIES
 from .scenarios import SCENARIO_KINDS, Scenario
 
 # Recorded values per side that one kernel call of --dump-paths may hold:
@@ -35,6 +34,9 @@ from .scenarios import SCENARIO_KINDS, Scenario
 DUMP_VALUES = 1 << 20
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
+# The one momentum reduction, x_F(t0 + T) / T; ``policy`` still names it so
+# that existing configs and command lines keep working.
+POLICIES = ("ratio",)
 
 
 def _fits(value, hint) -> bool:
@@ -127,9 +129,6 @@ class ScenarioConfig:
             params = self.sim_params()
         except ValueError as err:
             raise ConfigError(f"horizon/dt: {err}") from err
-        if self.policy == "extrapolated" and params.steps < 2:
-            raise ConfigError("policy: extrapolated fits two or more checkpoints and "
-                              "needs a horizon of at least two steps of dt")
         if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
             raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
                               f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
@@ -274,7 +273,6 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
     _write_manifest(run_dir, config)
 
     ensemble = momentum.collect(scenario, params, config.paths,
-                                policy=config.policy,
                                 workers=config.effective_workers())
     tableio.write_table(os.path.join(run_dir, "ensemble.tsv"), {
         "path_index": ensemble.path_indices,
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--horizon", type=float, help="simulated horizon T")
     common.add_argument("--paths", type=int, help="ensemble size M")
     common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--policy", choices=POLICIES, help="momentum truncation policy")
+    common.add_argument("--policy", choices=POLICIES, help="momentum reduction, x_F(T) / T")
     common.add_argument("--out", help="output directory")
     common.add_argument("--workers", type=int, help="worker processes")
 

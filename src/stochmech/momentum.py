@@ -1,12 +1,8 @@
 """Momentum extraction from coupled paths via the long-time limit.
 
 The per-path momentum is the almost-sure limit x_F(t0 + T) / T of the free
-comparison path.  At a finite horizon two policies are offered:
-
-* ``ratio``: x_F(t0 + T) / T as is (bias O(1/T));
-* ``extrapolated``: fit a + c / T_i through the ratio at checkpoints
-  T/4, T/2, T and return a (a heuristic finite-horizon correction, not a
-  theorem; both policies land within O(1/T) of each other).
+comparison path.  At a finite horizon it is read off as that ratio, with
+T = steps * dt, at a bias of O(1/T).
 """
 
 from __future__ import annotations
@@ -21,10 +17,6 @@ import numpy as np
 from . import sde
 from .errors import StochmechError
 from .scenarios import Scenario
-
-RATIO_CHECKPOINTS = (1.0,)
-EXTRAPOLATION_CHECKPOINTS = (0.25, 0.5, 1.0)
-POLICIES = ("ratio", "extrapolated")
 
 DEFAULT_CHUNK = 2048
 # Largest chunk of a pooled ensemble; bounds a worker's noise buffer.
@@ -43,28 +35,6 @@ class MomentumEnsemble:
 
     def __len__(self):
         return len(self.values)
-
-
-def _checkpoint_indices(steps: int, policy: str) -> np.ndarray:
-    fractions = EXTRAPOLATION_CHECKPOINTS if policy == "extrapolated" else RATIO_CHECKPOINTS
-    return np.array(sorted({max(1, round(f * steps)) for f in fractions}), dtype=int)
-
-
-def _reduce_checkpoints(xf_cp: np.ndarray, cp_idx: np.ndarray, dt: float,
-                        policy: str) -> np.ndarray:
-    """Momentum values from free-path checkpoints (paths along the last axis)."""
-    horizons = cp_idx * dt
-    ratios = xf_cp / horizons[:, None]
-    if policy == "ratio":
-        return ratios[-1]
-    u = 1.0 / horizons
-    # least-squares fit of ratio = a + c u, vectorized across paths
-    um = u.mean()
-    du = u - um
-    denom = float(np.sum(du * du))
-    c = (du @ ratios) / denom
-    a = ratios.mean(axis=0) - c * um
-    return a
 
 
 class PathSimulationError(StochmechError):
@@ -133,26 +103,21 @@ class EnsemblePlan:
 
     jobs: list
     params: sde.SimParams
-    policy: str
-    checkpoints: np.ndarray
     rows: list
     record_indices: list
     weighted: bool
     provenance: dict
 
     def reduce(self, chunks: Sequence[sde.EnsembleChunk]) -> MomentumEnsemble:
-        """The ensemble from the results of ``jobs``, in job order."""
+        """The ensemble from the results of ``jobs``, in job order; each
+        path's momentum is its x_F at the last row over steps * dt."""
         row_of = {k: j for j, k in enumerate(self.rows)}
-        cp_rows = [row_of[k] for k in self.checkpoints.tolist()]
-        values = np.concatenate([
-            _reduce_checkpoints(ch.recorded_xf[cp_rows], self.checkpoints,
-                                self.params.dt, self.policy)
-            for ch in chunks])
+        xf_final = np.concatenate([ch.recorded_xf[-1] for ch in chunks])
         x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)
         extras = {
             "x0": x[0],
             "x_final": x[-1],
-            "xf_final": np.concatenate([ch.recorded_xf[-1] for ch in chunks]),
+            "xf_final": xf_final,
             "out_of_domain": np.concatenate([ch.ood_interacting + ch.ood_free
                                              for ch in chunks]),
         }
@@ -164,7 +129,9 @@ class EnsemblePlan:
                                         + np.asarray(self.record_indices) * self.params.dt)
             extras["recorded_x"] = x[[row_of[k] for k in self.record_indices]].T
         return MomentumEnsemble(
-            values=values, path_indices=np.concatenate([ch.path_indices for ch in chunks]),
+            # steps * dt, not horizon: the two can differ in the last bit
+            values=xf_final / (self.params.steps * self.params.dt),
+            path_indices=np.concatenate([ch.path_indices for ch in chunks]),
             horizon_used=self.params.horizon, provenance=self.provenance, extras=extras)
 
 
@@ -191,31 +158,23 @@ def chunk_indices(ensemble_size: int, workers: int = 1,
 
 
 def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-         policy: str = "ratio", chunk_size: Optional[int] = None,
+         chunk_size: Optional[int] = None,
          time_weights: Optional[np.ndarray] = None,
          record_times: Optional[Sequence[float]] = None,
          workers: int = 1) -> EnsemblePlan:
     """The chunk jobs of ``collect`` for these arguments, not yet run; the
-    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``.
-    ValueError for the ``extrapolated`` policy on a horizon too short for two
-    distinct checkpoints."""
+    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     record_indices = set()
     for t in record_times or ():
         k = round((t - params.t0) / params.dt)
         if not (0 <= k <= params.steps):
             raise ValueError(f"record time {t} outside the simulated range")
         record_indices.add(k)
-    cp_idx = _checkpoint_indices(params.steps, policy)
-    if policy == "extrapolated" and len(cp_idx) < 2:
-        raise ValueError("the extrapolated policy fits two or more checkpoints; "
-                         f"a {params.steps}-step horizon has one")
-    # the kernel keeps these rows of x and x_F: step 0, the policy's
-    # checkpoints, the horizon and the record times
-    rows = sorted({0, params.steps, *cp_idx.tolist(), *record_indices})
+    # the kernel keeps these rows of x and x_F: step 0, the horizon and the
+    # record times
+    rows = sorted({0, params.steps, *record_indices})
     jobs = [functools.partial(_run_chunk, scenario, params, indices, rows, time_weights)
             for indices in chunk_indices(ensemble_size, workers, chunk_size)]
     provenance = {
@@ -226,17 +185,16 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         "t0": params.t0,
         "seed": params.seed,
         "ensemble_size": ensemble_size,
-        "policy": policy,
-        "finite_horizon_note": "momentum read off at finite horizon; "
-                               "ratio bias is O(1/horizon)",
+        "finite_horizon_note": "momentum read off at finite horizon as "
+                               "x_F(t0 + T) / T; bias is O(1/horizon)",
     }
-    return EnsemblePlan(jobs=jobs, params=params, policy=policy, checkpoints=cp_idx,
-                        rows=rows, record_indices=sorted(record_indices),
+    return EnsemblePlan(jobs=jobs, params=params, rows=rows,
+                        record_indices=sorted(record_indices),
                         weighted=time_weights is not None, provenance=provenance)
 
 
 def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-            policy: str = "ratio", workers: int = 1,
+            workers: int = 1,
             chunk_size: Optional[int] = None,
             time_weights: Optional[np.ndarray] = None,
             record_times: Optional[Sequence[float]] = None) -> MomentumEnsemble:
@@ -253,6 +211,6 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
     (extras["recorded_x"], one row per path).  This is ``plan``, ``run_jobs``
     and ``EnsemblePlan.reduce`` for one ensemble.
     """
-    ensemble = plan(scenario, params, ensemble_size, policy, chunk_size,
+    ensemble = plan(scenario, params, ensemble_size, chunk_size,
                     time_weights, record_times, workers)
     return ensemble.reduce(run_jobs(ensemble.jobs, workers))

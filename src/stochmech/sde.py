@@ -34,9 +34,9 @@ STREAM_INITIAL = 1
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
-# Steps of noise drawn per path at once by the ensemble kernel and by the
-# closed-form check of ``verify``.  Each holds one (BLOCK x paths) noise
-# buffer, which sets much of its peak memory; the value changes no output,
+# Steps of noise drawn per path at once by ``_noise_blocks``, for the
+# ensemble kernel and the batch checks of ``verify``.  Its one (BLOCK x paths)
+# buffer sets much of their peak memory; the value changes no output,
 # since each path's stream is sequential.  It is even, so no pair of steps
 # that the closed-form check coarsens straddles two blocks.
 BLOCK = 512
@@ -79,8 +79,12 @@ class SimParams:
         """Standard deviation of one Wiener increment, sqrt(2 nu dt)."""
         return np.sqrt(2.0 * self.nu * self.dt)
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.steps + 1) * self.dt
+    def times(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Mesh times t0 + k dt of rows k = start..stop - 1; by default all
+        steps + 1 rows.  A slice of the whole mesh equals the same rows built
+        alone, bit for bit."""
+        stop = self.steps + 1 if stop is None else stop
+        return self.t0 + np.arange(start, stop) * self.dt
 
     def with_path_index(self, path_index: int) -> "SimParams":
         return SimParams(nu=self.nu, dt=self.dt, horizon=self.horizon,
@@ -193,6 +197,27 @@ def path_rngs(seed: int, path_indices, stream: int = STREAM_NOISE):
 def path_rng(seed: int, path_index: int, stream: int = STREAM_NOISE) -> np.random.Generator:
     """Independent generator for one (seed, path, stream) triple."""
     return next(path_rngs(seed, [path_index], stream))
+
+
+def _noise_blocks(params: SimParams, path_indices):
+    """Yields (k, dw) for k = 0, BLOCK, 2 BLOCK, ... < steps: the scaled
+    Wiener increments of steps k..k + m - 1, one column per path of
+    ``path_indices``, each drawn from its own stream.  Paths are drawn in
+    tiles of TILE rows, then scaled and transposed into one (BLOCK x paths)
+    buffer that every block reuses, so a block is only valid until the next
+    is drawn."""
+    rngs = list(path_rngs(params.seed, path_indices, STREAM_NOISE))
+    n, steps, scale = len(rngs), params.steps, params.noise_scale
+    buf = np.empty((min(BLOCK, steps), n))
+    tile = np.empty((min(TILE, n), len(buf)))
+    for k in range(0, steps, BLOCK):
+        m = min(BLOCK, steps - k)
+        for s in range(0, n, TILE):
+            r = min(TILE, n - s)
+            for row, rng in zip(tile[:r, :m], rngs[s:s + r]):
+                rng.standard_normal(out=row)
+            np.multiply(tile[:r, :m].T, scale, out=buf[:m, s:s + r])
+        yield k, buf[:m]
 
 
 def wiener_increments(params: SimParams) -> np.ndarray:
@@ -354,7 +379,7 @@ def _batch(drift: DriftField, x0, params: SimParams, dw: np.ndarray, start: int)
     if not 0 <= start <= params.steps - len(dw):
         raise ValueError(f"{len(dw)} increments from step {start} overrun "
                          f"the mesh's {params.steps} steps")
-    return _path(drift, x0, params.times()[start:], params.dt, dw)[0]
+    return _path(drift, x0, params.times(start, start + len(dw)), params.dt, dw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +414,13 @@ def simulate_coupled_ensemble(
     x and x_F are kept at the step indices ``record_indices`` (strictly
     increasing, within 0..steps) and nowhere else.  ``time_weights`` (length
     steps+1) switches on a running trapezoid accumulator of sum w(t) x(t) dt
-    along the interacting path.  Noise is drawn in blocks of ``BLOCK`` steps
-    per path into one (BLOCK x paths) buffer that every block reuses.
+    along the interacting path.  Noise comes from ``_noise_blocks``, in
+    blocks of ``BLOCK`` steps per path.
     """
     idx = np.asarray(list(path_indices), dtype=int)
     n = len(idx)
     steps = params.steps
     dt = params.dt
-    times = params.times()
-    scale = params.noise_scale
 
     rec = np.asarray(record_indices, dtype=int)
     outside = rec[(rec < 0) | (rec > steps)]
@@ -406,7 +429,6 @@ def simulate_coupled_ensemble(
     if np.any(rec[1:] <= rec[:-1]):
         raise ValueError("record indices must be strictly increasing")
 
-    rngs = list(path_rngs(params.seed, idx, STREAM_NOISE))
     x0 = np.array([float(sampler(rng)) for rng in path_rngs(params.seed, idx, STREAM_INITIAL)])
 
     x = xf = x0
@@ -430,19 +452,11 @@ def simulate_coupled_ensemble(
         acc = np.zeros(n)
         f_prev = weights[0] * x
 
-    buf = np.empty((min(BLOCK, steps), n))
-    tile = np.empty((min(TILE, n), len(buf)))
-    for k in range(0, steps, BLOCK):
-        m = min(BLOCK, steps - k)
-        for s in range(0, n, TILE):
-            r = min(TILE, n - s)
-            for row, rng in zip(tile[:r, :m], rngs[s:s + r]):
-                rng.standard_normal(out=row)
-            np.multiply(tile[:r, :m].T, scale, out=buf[:m, s:s + r])
-        dw = buf[:m]
-        for knext, x, xf in zip(range(k + 1, k + m + 1),
-                                _euler(interacting, x, times[k:], dt, dw, ood_i),
-                                _euler(free, xf, times[k:], dt, dw, ood_f)):
+    for k, dw in _noise_blocks(params, idx):
+        times = params.times(k, k + len(dw))
+        for knext, x, xf in zip(range(k + 1, k + len(dw) + 1),
+                                _euler(interacting, x, times, dt, dw, ood_i),
+                                _euler(free, xf, times, dt, dw, ood_f)):
             if weights is not None:
                 f_new = weights[knext] * x
                 acc += 0.5 * dt * (f_prev + f_new)

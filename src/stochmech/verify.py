@@ -49,9 +49,8 @@ def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     """Increments (steps, n_paths) and initial positions of paths
     0..n_paths-1, each from its own streams, for the batch integrators."""
     dw = np.empty((params.steps, n_paths))
-    for j, rng in enumerate(sde.path_rngs(params.seed, range(n_paths), sde.STREAM_NOISE)):
-        dw[:, j] = rng.standard_normal(params.steps)
-    dw *= params.noise_scale
+    for k, block in sde._noise_blocks(params, range(n_paths)):
+        dw[k:k + len(block)] = block
     return dw, _initial_positions(params.seed, sampler, n_paths)
 
 
@@ -63,10 +62,10 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
     The sup-norm deviation must scale like C dt: the fine run uses halved
     steps on pairwise-coarsened increments of the same Brownian realization,
     and the measured C must be stable within +-50%.  Both meshes are walked
-    together in blocks of ``sde.BLOCK`` fine steps: each block draws every
-    path's next increments into one reused buffer, steps x and x_F on both
-    meshes from their last rows, evaluates the closed form on the block from
-    its carry and folds |x_F - closed form| into a per-path running max.  No
+    together in the fine mesh's noise blocks of ``sde.BLOCK`` steps, drawn
+    into one reused buffer: each block steps x and x_F on both meshes from
+    their last rows, evaluates the closed form on the block from its carry
+    and folds |x_F - closed form| into a per-path running max.  No
     (steps x paths) array is held, and every value is that of one whole-mesh
     evaluation, bit for bit.
     """
@@ -83,18 +82,12 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
         x = sde.integrate_batch(interacting, x_last, params, dw, start)
         xf = sde.co_integrate_batch(free, xf_last, params, dw, start)
         cf, carry = oscillator.coupled_path_closed_form(
-            params.times()[start:start + len(x)], x, scen, carry)
+            params.times(start, start + len(x)), x, scen, carry)
         # copies of the last rows, so the block's arrays are freed before the next
         state[params] = (x[-1].copy(), xf[-1].copy(), carry,
                          np.maximum(sup, np.max(np.abs(xf - cf), axis=0)))
 
-    rngs = list(sde.path_rngs(seed, range(n_paths), sde.STREAM_NOISE))
-    buf = np.empty((min(sde.BLOCK, fine.steps), n_paths))
-    for k in range(0, fine.steps, sde.BLOCK):
-        dw = buf[:min(sde.BLOCK, fine.steps - k)]
-        for j, rng in enumerate(rngs):
-            dw[:, j] = rng.standard_normal(len(dw))
-        dw *= fine.noise_scale
+    for k, dw in sde._noise_blocks(fine, range(n_paths)):
         advance(fine, k, dw)
         # BLOCK is even, so the coarse increments are sums of pairs within the block
         advance(coarse, k // 2, dw[0::2] + dw[1::2])

@@ -216,17 +216,19 @@ def test_workers_beyond_the_usable_cpus_start_no_pool(tmp_path, monkeypatch):
                     "--out", str(tmp_path)) == 0
 
 
-def test_extrapolated_policy_needs_two_steps(tmp_path, capsys):
-    # one step gives one checkpoint, and the fit through it divided by zero
-    code = run_main("run", "--policy", "extrapolated", "--horizon", "0.001",
-                    "--dt", "0.001", "--paths", "10", "--workers", "1",
-                    "--out", str(tmp_path / "one"))
-    assert code == 2
-    assert "policy: extrapolated" in capsys.readouterr().err
-    assert not (tmp_path / "one").exists()
-    assert run_main("run", "--policy", "extrapolated", "--horizon", "0.002",
-                    "--dt", "0.001", "--paths", "10", "--workers", "1",
-                    "--out", str(tmp_path / "two")) == 0
+def test_policy_accepts_only_ratio(tmp_path, capsys):
+    # x_F(T) / T is the one momentum reduction; --policy and the config key
+    # stay for configs that name it
+    with pytest.raises(SystemExit) as exit_:
+        run_main("run", "--policy", "extrapolated", "--out", str(tmp_path / "flag"))
+    assert exit_.value.code == 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"policy": "extrapolated"}))
+    assert run_main("run", "--config", str(cfg_path), "--out", str(tmp_path / "file")) == 2
+    assert "policy: 'extrapolated'" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+    assert run_main("run", "--policy", "ratio", "--horizon", "0.001", "--dt", "0.001",
+                    "--paths", "10", "--workers", "1", "--out", str(tmp_path / "ratio")) == 0
 
 
 # ---------------------------------------------------------------------------

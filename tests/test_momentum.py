@@ -1,4 +1,4 @@
-"""Momentum extraction policies and ensemble collection."""
+"""Momentum extraction, P = x_F(t0 + T) / T, and ensemble collection."""
 
 import functools
 import math
@@ -16,48 +16,40 @@ from stochmech.scenarios import Scenario
 OSC = Scenario(kind="oscillator-ground", nu=0.5)
 
 
-def momentum_of(params, free_positions, policy):
-    """The policy's value for one free path, reduced as ``collect`` does."""
-    cp_idx = momentum._checkpoint_indices(params.steps, policy)
-    xf_cp = free_positions[cp_idx][:, None]
-    return float(momentum._reduce_checkpoints(xf_cp, cp_idx, params.dt, policy)[0])
+def momentum_of(params, free_positions):
+    """``collect``'s momentum for one free path on the whole mesh, reduced by
+    ``EnsemblePlan.reduce`` from the rows the kernel keeps."""
+    ensemble = momentum.plan(OSC, params, 1)
+    rows = np.asarray(free_positions)[ensemble.rows][:, None]
+    chunk = sde.EnsembleChunk(path_indices=np.arange(1), recorded_x=rows, recorded_xf=rows,
+                              weighted_integral=None, ood_interacting=np.zeros(1, dtype=int),
+                              ood_free=np.zeros(1, dtype=int))
+    return float(ensemble.reduce([chunk]).values[0])
 
 
 # ---------------------------------------------------------------------------
-# truncation policies
+# the momentum reduction
 # ---------------------------------------------------------------------------
-
-def test_extrapolated_policy_refuses_a_one_step_horizon():
-    # one step leaves one distinct checkpoint, which fits no a + c / T
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1e-3, seed=0)
-    for run in (momentum.plan, momentum.collect):
-        with pytest.raises(ValueError, match="two or more checkpoints"):
-            run(OSC, params, 10, policy="extrapolated")
-    two_steps = sde.SimParams(nu=0.5, dt=1e-3, horizon=2e-3, seed=0)
-    assert np.all(np.isfinite(momentum.collect(OSC, two_steps, 10, policy="extrapolated").values))
-
 
 def test_ratio_policy_on_straight_line_path():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=0)
     v = 0.37
-    value = momentum_of(params, v * params.times(), "ratio")
+    value = momentum_of(params, v * params.times())
     assert value == pytest.approx(v, abs=1e-14)
+    # only the last row counts
+    free = v * params.times() + np.sin(params.times())
+    assert momentum_of(params, free) == free[-1] / (params.steps * params.dt)
 
 
-def test_extrapolated_policy_recovers_asymptote():
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=8.0, seed=0)
-    a, c = -0.82, 0.6
-    free = a * params.times() + c        # ratio(T) = a + c / T exactly
-    value = momentum_of(params, free, "extrapolated")
-    assert value == pytest.approx(a, abs=1e-10)
-    ratio_value = momentum_of(params, free, "ratio")
-    assert ratio_value == pytest.approx(a + c / 8.0, abs=1e-12)
-
-
-def test_unknown_policy_rejected():
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=0)
-    with pytest.raises(ValueError, match="unknown policy"):
-        momentum.collect(OSC, params, 1, policy="midpoint")
+def test_momentum_divides_by_steps_times_dt_bitwise():
+    # at horizon 0.7, 700 steps of 1e-3 span 0.7000000000000001, not 0.7
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.7, seed=53)
+    assert params.steps * params.dt != params.horizon
+    ensemble = momentum.collect(OSC, params, 20)
+    xf = ensemble.extras["xf_final"]
+    assert np.array_equal(ensemble.values.view(np.int64),
+                          (xf / (params.steps * params.dt)).view(np.int64))
+    assert not np.array_equal(ensemble.values, xf / params.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +73,7 @@ def test_collect_requires_positive_ensemble():
 
 def test_collect_matches_per_path_estimates():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=7)
-    ensemble = momentum.collect(OSC, params, 3, policy="extrapolated")
+    ensemble = momentum.collect(OSC, params, 3)
     interacting, free = OSC.drift_fields()
     sampler = OSC.initial_sampler()
     for i in range(3):
@@ -89,8 +81,8 @@ def test_collect_matches_per_path_estimates():
         x0 = sde.draw_initial(p, sampler)
         path = sde.integrate(interacting, x0, p)
         pair = sde.co_integrate((interacting, free), path)
-        direct = momentum_of(p, pair.free_positions, "extrapolated")
-        assert ensemble.values[i] == direct
+        assert ensemble.values[i] == momentum_of(p, pair.free_positions)
+        assert ensemble.extras["xf_final"][i] == pair.free_positions[-1]
 
 
 def test_collect_invariant_under_chunking_and_workers():
@@ -159,7 +151,7 @@ def test_interleaved_ensembles_on_one_pool_match_their_own_collect():
         dict(scenario=OSC, params=weighted, ensemble_size=7, chunk_size=2,
              time_weights=np.linspace(0.0, 1.0, weighted.steps + 1)),
         dict(scenario=other, params=recorded, ensemble_size=5, chunk_size=2,
-             policy="extrapolated", record_times=[0.1, 0.2]),
+             record_times=[0.1, 0.2]),
     ]
     plans = [momentum.plan(**request) for request in requests]
     # alternate the two ensembles' chunks: a, b, a, b, a, b, a
@@ -210,13 +202,13 @@ def test_collect_extras_and_provenance():
 
 
 def test_record_times_join_the_policy_checkpoints():
-    # T/4 is also an extrapolation checkpoint, so both ask for one kernel
-    # row; t = 0.3 is not, and shifts the rows of the later checkpoints
+    # t = 0 and T are rows the kernel keeps anyway, so each asks for one
+    # row; t = 0.3 and 0.5 add rows between them
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=71)
     times = [0.0, 0.3, 0.5, 2.0]
-    plain = momentum.collect(OSC, params, 5, policy="extrapolated", chunk_size=2)
-    recorded = momentum.collect(OSC, params, 5, policy="extrapolated", chunk_size=2,
-                                record_times=times)
+    plain = momentum.collect(OSC, params, 5, chunk_size=2)
+    recorded = momentum.collect(OSC, params, 5, chunk_size=2, record_times=times)
+    assert momentum.plan(OSC, params, 5, record_times=times).rows == [0, 300, 500, 2000]
     assert np.array_equal(plain.values, recorded.values)
     assert np.array_equal(plain.extras["x_final"], recorded.extras["x_final"])
     assert np.array_equal(recorded.extras["recorded_times"], times)
@@ -229,16 +221,6 @@ def test_free_scenario_coupling_is_identity():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=17)
     ensemble = momentum.collect(scenario, params, 6)
     assert np.array_equal(ensemble.extras["x_final"], ensemble.extras["xf_final"])
-
-
-def test_policy_gap_shrinks_with_horizon():
-    gaps = {}
-    for horizon in (5.0, 10.0):
-        params = sde.SimParams(nu=0.5, dt=2e-3, horizon=horizon, seed=19)
-        ratio = momentum.collect(OSC, params, 150, policy="ratio")
-        extrap = momentum.collect(OSC, params, 150, policy="extrapolated")
-        gaps[horizon] = np.mean(np.abs(ratio.values - extrap.values))
-    assert gaps[10.0] < 0.8 * gaps[5.0]
 
 
 def test_target_density_is_nu_independent():

@@ -55,6 +55,19 @@ def test_params_refuse_non_finite_fields(name):
             sde.SimParams(**{**fields, name: value})
 
 
+@pytest.mark.parametrize("t0, dt, horizon", [(0.0, 1e-3, 10.0), (0.3, 5e-4, 2.561),
+                                              (-1.7, 0.1, 3.0)])
+def test_mesh_rows_built_alone_equal_the_whole_mesh_bitwise(t0, dt, horizon):
+    params = sde.SimParams(nu=0.5, dt=dt, horizon=horizon, t0=t0)
+    whole = params.times()
+    steps = params.steps
+    for start, stop in [(0, 1), (0, steps + 1), (1, 2), (7, steps), (steps, steps + 1),
+                        (steps // 2, steps // 2 + 513)]:
+        stop = min(stop, steps + 1)
+        rows = params.times(start, stop)
+        assert np.array_equal(rows.view(np.int64), whole[start:stop].view(np.int64))
+
+
 @pytest.mark.parametrize("nu,dt,expected_var", [
     (0.5, 1e-3, 1e-3),
     (1.0, 0.5, 1.0),
@@ -288,6 +301,21 @@ def test_batch_matches_single_path_bitwise(monkeypatch, n):
         pair = sde.co_integrate((interacting, free), path)
         assert np.array_equal(chunk.recorded_x[:, i], path.positions)
         assert np.array_equal(chunk.recorded_xf[:, i], pair.free_positions)
+
+
+def test_noise_blocks_are_each_paths_own_increments(monkeypatch):
+    # 500 steps in 128-step blocks end on a short one; 70 paths fill one
+    # noise tile and part of a second
+    monkeypatch.setattr(sde, "BLOCK", 128)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=43)
+    indices = range(3, 73)
+    blocks = [(k, dw.copy()) for k, dw in sde._noise_blocks(params, indices)]
+    assert [k for k, _ in blocks] == [0, 128, 256, 384]
+    dw = np.concatenate([block for _, block in blocks])
+    assert dw.shape == (params.steps, len(indices))
+    for j, i in enumerate(indices):
+        own = sde.wiener_increments(params.with_path_index(i))
+        assert np.array_equal(dw[:, j].view(np.int64), own.view(np.int64))
 
 
 def test_block_size_does_not_change_the_ensemble(monkeypatch):

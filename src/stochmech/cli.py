@@ -24,7 +24,7 @@ from typing import Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__, momentum, oscillator, sde, stats, tableio, verify
+from . import __version__, momentum, sde, stats, tableio, verify
 from . import wavefunction as wf
 from .errors import ConfigError, StochmechError
 from .scenarios import SCENARIO_KINDS, Scenario

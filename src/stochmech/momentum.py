@@ -8,7 +8,6 @@ T = steps * dt, at a bias of O(1/T).
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -81,6 +80,8 @@ def run_jobs(jobs: Sequence[Callable], workers: int = 1) -> list:
     """
     try:
         if workers > 1 and len(jobs) > 1:
+            # imported here, so that in-process runs never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 futures = [pool.submit(job) for job in jobs]
                 try:
@@ -135,37 +136,35 @@ class EnsemblePlan:
             horizon_used=self.params.horizon, provenance=self.provenance, extras=extras)
 
 
-def chunk_indices(ensemble_size: int, workers: int = 1,
-                  chunk_size: Optional[int] = None) -> list:
+def chunk_indices(ensemble_size: int, workers: int = 1) -> list:
     """Contiguous path-index arrays that cover 0..ensemble_size-1 in order.
 
-    An explicit ``chunk_size`` cuts chunks of that many paths, the last one
-    shorter.  Otherwise, when the chunks go to a pool of
-    p = min(workers, ceil(M / DEFAULT_CHUNK)) > 1 processes, the paths are
-    split into c = p * ceil(M / (p * MAX_CHUNK)) equal shares, sizes
-    differing by at most one, so every process gets the same number of
-    paths; in process (p = 1) they are cut into ``DEFAULT_CHUNK`` paths,
-    which bounds the kernel's memory.
+    The chunks go to p = min(workers, ceil(M / DEFAULT_CHUNK)) processes
+    (this one alone when p = 1).  The paths are split into
+    p * ceil(M / (p * cap)) equal shares, sizes differing by at most one, so
+    every process gets the same number of paths and no chunk exceeds cap:
+    MAX_CHUNK on a pool, ``DEFAULT_CHUNK`` in process, which bounds the
+    kernel's memory.
     """
-    if chunk_size is None:
-        pool = min(workers, -(-ensemble_size // DEFAULT_CHUNK))
-        if pool > 1:
-            count = pool * -(-ensemble_size // (pool * MAX_CHUNK))
-            return np.array_split(np.arange(ensemble_size), count)
-        chunk_size = DEFAULT_CHUNK
-    return [np.arange(start, min(start + chunk_size, ensemble_size))
-            for start in range(0, ensemble_size, chunk_size)]
+    pool = min(workers, -(-ensemble_size // DEFAULT_CHUNK))
+    cap = MAX_CHUNK if pool > 1 else DEFAULT_CHUNK
+    return np.array_split(np.arange(ensemble_size),
+                          pool * -(-ensemble_size // (pool * cap)))
 
 
 def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
-         chunk_size: Optional[int] = None,
          time_weights: Optional[np.ndarray] = None,
          record_times: Optional[Sequence[float]] = None,
          workers: int = 1) -> EnsemblePlan:
     """The chunk jobs of ``collect`` for these arguments, not yet run; the
-    chunks are ``chunk_indices(ensemble_size, workers, chunk_size)``."""
+    chunks are ``chunk_indices(ensemble_size, workers)``.  ValueError when
+    ``params`` and ``scenario`` disagree on nu or t0."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
+    for name in ("nu", "t0"):
+        if getattr(params, name) != getattr(scenario, name):
+            raise ValueError(f"params.{name} = {getattr(params, name)!r} differs from "
+                             f"scenario.{name} = {getattr(scenario, name)!r}")
     record_indices = set()
     for t in record_times or ():
         k = round((t - params.t0) / params.dt)
@@ -176,7 +175,7 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
     # record times
     rows = sorted({0, params.steps, *record_indices})
     jobs = [functools.partial(_run_chunk, scenario, params, indices, rows, time_weights)
-            for indices in chunk_indices(ensemble_size, workers, chunk_size)]
+            for indices in chunk_indices(ensemble_size, workers)]
     provenance = {
         "scenario": scenario.kind,
         "nu": params.nu,
@@ -195,22 +194,19 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
 
 def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
             workers: int = 1,
-            chunk_size: Optional[int] = None,
             time_weights: Optional[np.ndarray] = None,
             record_times: Optional[Sequence[float]] = None) -> MomentumEnsemble:
     """Reduce ``ensemble_size`` independent coupled paths to momentum samples.
 
     Paths are simulated in chunks, optionally across a process pool of
-    ``workers`` processes.  Unless ``chunk_size`` is given, the chunking
-    follows from ``workers`` (see ``chunk_indices``): equal shares on a pool,
-    ``DEFAULT_CHUNK`` paths in process.  Each path is a pure function of
-    (seed, path index), so the result is identical for any worker count or
-    chunk size.  ``time_weights`` adds a per-path running
+    ``workers`` processes; the chunking follows from ``workers`` (see
+    ``chunk_indices``).  Each path is a pure function of (seed, path index),
+    so the result is identical for any worker count or chunking.
+    ``time_weights`` adds a per-path running
     trapezoid accumulator of sum w(t) x(t) dt (extras["weighted_integrals"]);
     ``record_times`` stores interacting positions at those times
     (extras["recorded_x"], one row per path).  This is ``plan``, ``run_jobs``
     and ``EnsemblePlan.reduce`` for one ensemble.
     """
-    ensemble = plan(scenario, params, ensemble_size, chunk_size,
-                    time_weights, record_times, workers)
+    ensemble = plan(scenario, params, ensemble_size, time_weights, record_times, workers)
     return ensemble.reduce(run_jobs(ensemble.jobs, workers))

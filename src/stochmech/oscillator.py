@@ -12,52 +12,46 @@ limit collapses to the weighted path integral
     P = e^{-nu pi} int_{t0}^inf x(t) e^{g(t)} (2 nu - g'(t)) dt.
 
 Everything here is an independent ground truth the numerical pipeline is
-checked against; nothing in this module touches the SDE integrators.
+checked against; nothing in this module touches the SDE integrators.  The
+functions read only ``nu`` and ``t0`` of the oscillator-ground ``Scenario``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class OscillatorScenario:
-    nu: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 
-def gamma(t, scen: OscillatorScenario):
+def gamma(t, scen: Scenario):
     """Integrating-factor exponent 2 nu arctan(tau) - ln(1 + tau^2)/2."""
     tau = np.asarray(t, dtype=float) - scen.t0
     return 2.0 * scen.nu * np.arctan(tau) - 0.5 * np.log1p(tau * tau)
 
 
-def gamma_rate(t, scen: OscillatorScenario):
+def gamma_rate(t, scen: Scenario):
     """d gamma / dt = (2 nu - tau) / (1 + tau^2), the free drift coefficient."""
     tau = np.asarray(t, dtype=float) - scen.t0
     return (2.0 * scen.nu - tau) / (1.0 + tau * tau)
 
 
-def ou_covariance(t1, t2, scen: OscillatorScenario):
+def ou_covariance(t1, t2, scen: Scenario):
     """Stationary position covariance (1/2) exp(-2 nu |t1 - t2|)."""
     return 0.5 * np.exp(-2.0 * scen.nu * np.abs(np.asarray(t1, float) - np.asarray(t2, float)))
 
 
-def momentum_quadrature_weights(times: np.ndarray, scen: OscillatorScenario) -> np.ndarray:
+def momentum_quadrature_weights(times: np.ndarray, scen: Scenario) -> np.ndarray:
     """Weight e^{-nu pi} e^{g(t)} (2 nu - g'(t)) multiplying x(t) in the
     momentum integral, on a mesh."""
     return math.exp(-scen.nu * math.pi) * (
         np.exp(gamma(times, scen)) * (2.0 * scen.nu - gamma_rate(times, scen)))
 
 
-def coupled_path_closed_form(times, positions, scen: OscillatorScenario, carry=None):
+def coupled_path_closed_form(times, positions, scen: Scenario, carry=None):
     """Evaluate the integrating-factor solution for x_F on a path mesh.
 
     The dx integral is the pathwise left-endpoint Riemann-Stieltjes sum (the
@@ -105,7 +99,7 @@ def coupled_path_closed_form(times, positions, scen: OscillatorScenario, carry=N
 # Exact law of the Euler scheme
 # ---------------------------------------------------------------------------
 
-def _euler_rows(horizon: float, scen: OscillatorScenario, dt: float) -> tuple:
+def _euler_rows(horizon: float, scen: Scenario, dt: float) -> tuple:
     """Coefficient rows of (quadrature, x(t0+T), x_F(t0+T)) on the independent
     Gaussians (x0, dW_0 .. dW_{N-1}) of the ensemble kernel, with their variances.
 
@@ -134,7 +128,7 @@ def _euler_rows(horizon: float, scen: OscillatorScenario, dt: float) -> tuple:
     return rows, var
 
 
-def euler_covariance(horizon: float, scen: OscillatorScenario, dt: float) -> np.ndarray:
+def euler_covariance(horizon: float, scen: Scenario, dt: float) -> np.ndarray:
     """Exact 3x3 covariance of (quadrature, x(t0+T), x_F(t0+T)) as the
     ensemble kernel computes them at step dt, with the stationary start
     x0 = x_F0 ~ N(0, 1/2).  The momentum P = x_F(t0+T) / T; its variance
@@ -143,7 +137,7 @@ def euler_covariance(horizon: float, scen: OscillatorScenario, dt: float) -> np.
     return (rows * var) @ rows.T
 
 
-def difference_bound(horizon: float, scen: OscillatorScenario, dt: float) -> float:
+def difference_bound(horizon: float, scen: Scenario, dt: float) -> float:
     """Per-path bound on |quadrature - x_F(t0+T)/T| holding for >= 99% of
     paths: three exact standard deviations of the difference under the
     Euler scheme at step dt."""

@@ -226,10 +226,17 @@ def wiener_increments(params: SimParams) -> np.ndarray:
     return params.noise_scale * rng.standard_normal(params.steps)
 
 
+def initial_positions(seed: int, path_indices, sampler: Callable) -> np.ndarray:
+    """Initial positions of the paths ``path_indices``: path i's is drawn by
+    ``sampler`` (the scenario's t0 density) from its (seed, i, STREAM_INITIAL)
+    stream."""
+    return np.array([float(sampler(rng))
+                     for rng in path_rngs(seed, path_indices, STREAM_INITIAL)])
+
+
 def draw_initial(params: SimParams, sampler: Callable) -> float:
-    """Initial position from the scenario's t0 density (separate stream)."""
-    rng = path_rng(params.seed, params.path_index, STREAM_INITIAL)
-    return float(sampler(rng))
+    """Initial position of the path ``params.path_index``."""
+    return float(initial_positions(params.seed, [params.path_index], sampler)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,7 @@ def simulate_coupled_ensemble(
     if np.any(rec[1:] <= rec[:-1]):
         raise ValueError("record indices must be strictly increasing")
 
-    x0 = np.array([float(sampler(rng)) for rng in path_rngs(params.seed, idx, STREAM_INITIAL)])
+    x0 = initial_positions(params.seed, idx, sampler)
 
     x = xf = x0
     rec_x = np.empty((len(rec), n))

@@ -33,16 +33,14 @@ class CheckResult:
         return f"{tag} {self.name}: {self.detail}"
 
 
+def _oscillator(nu: float) -> Scenario:
+    return Scenario(kind="oscillator-ground", nu=nu)
+
+
 def _oscillator_fields(nu: float):
-    scenario = Scenario(kind="oscillator-ground", nu=nu)
+    scenario = _oscillator(nu)
     interacting, free = scenario.drift_fields()
     return scenario, interacting, free
-
-
-def _initial_positions(seed: int, sampler, n_paths: int) -> np.ndarray:
-    """Initial positions of paths 0..n_paths-1, each from its own stream."""
-    initial = sde.path_rngs(seed, range(n_paths), sde.STREAM_INITIAL)
-    return np.array([float(sampler(rng)) for rng in initial])
 
 
 def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
@@ -51,7 +49,7 @@ def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
     dw = np.empty((params.steps, n_paths))
     for k, block in sde._noise_blocks(params, range(n_paths)):
         dw[k:k + len(block)] = block
-    return dw, _initial_positions(params.seed, sampler, n_paths)
+    return dw, sde.initial_positions(params.seed, range(n_paths), sampler)
 
 
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
@@ -69,11 +67,10 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
     (steps x paths) array is held, and every value is that of one whole-mesh
     evaluation, bit for bit.
     """
-    scen = oscillator.OscillatorScenario(nu=nu)
     scenario, interacting, free = _oscillator_fields(nu)
     fine = sde.SimParams(nu=nu, dt=0.5 * dt, horizon=horizon, seed=seed)
     coarse = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    x0 = _initial_positions(seed, scenario.initial_sampler(), n_paths)
+    x0 = sde.initial_positions(seed, range(n_paths), scenario.initial_sampler())
     # per mesh: last rows of x and x_F, closed-form carry, per-path running max
     state = {params: (x0, x0, None, np.zeros(n_paths)) for params in (fine, coarse)}
 
@@ -82,7 +79,7 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
         x = sde.integrate_batch(interacting, x_last, params, dw, start)
         xf = sde.co_integrate_batch(free, xf_last, params, dw, start)
         cf, carry = oscillator.coupled_path_closed_form(
-            params.times(start, start + len(x)), x, scen, carry)
+            params.times(start, start + len(x)), x, scenario, carry)
         # copies of the last rows, so the block's arrays are freed before the next
         state[params] = (x[-1].copy(), xf[-1].copy(), carry,
                          np.maximum(sup, np.max(np.abs(xf - cf), axis=0)))
@@ -141,22 +138,21 @@ def _autocov_request(nu, dt, m, seed) -> dict:
     """``momentum.collect`` arguments of the OU record of ``check_autocovariance``."""
     record_times = [AUTOCOV_T_REF + i * AUTOCOV_SPACING for i in range(5)]
     params = sde.SimParams(nu=nu, dt=dt, horizon=record_times[-1], seed=seed)
-    return dict(scenario=Scenario(kind="oscillator-ground", nu=nu), params=params,
+    return dict(scenario=_oscillator(nu), params=params,
                 ensemble_size=m, record_times=record_times)
 
 
-def check_autocovariance(nu: float = 0.5, dt: float = 1e-3, m: int = 10000,
-                         seed: int = 3000, workers: int = 1,
-                         ensemble: momentum.MomentumEnsemble = None) -> CheckResult:
-    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma."""
-    if ensemble is None:
-        ensemble = momentum.collect(**_autocov_request(nu, dt, m, seed), workers=workers)
-    scen = oscillator.OscillatorScenario(nu=nu)
+def check_autocovariance(ensemble: momentum.MomentumEnsemble,
+                         nu: float = 0.5) -> CheckResult:
+    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma.
+
+    ``ensemble`` is collected as ``_autocov_request`` asks.
+    """
     points = stats.autocovariance(ensemble.extras["recorded_x"], dt=AUTOCOV_SPACING,
                                   lags=AUTOCOV_LAGS)
     worst_sigma = 0.0
     for pt in points:
-        target = float(oscillator.ou_covariance(0.0, pt.lag, scen))
+        target = float(oscillator.ou_covariance(0.0, pt.lag, _oscillator(nu)))
         worst_sigma = max(worst_sigma, abs(pt.estimate - target) / pt.stderr)
     passed = bool(worst_sigma <= 5.0)
     detail = f"max |estimate - target| = {worst_sigma:.2f} standard errors over lags {AUTOCOV_LAGS}"
@@ -174,9 +170,8 @@ def check_momentum_consistency(ensemble: momentum.MomentumEnsemble, nu: float = 
     ``ensemble`` is collected with the oscillator's momentum quadrature
     weights as ``time_weights``.
     """
-    scen = oscillator.OscillatorScenario(nu=nu)
     diffs = np.abs(ensemble.extras["weighted_integrals"] - ensemble.values)
-    bound = oscillator.difference_bound(horizon, scen, dt)
+    bound = oscillator.difference_bound(horizon, _oscillator(nu), dt)
     frac = float(np.mean(diffs <= bound))
     passed = bool(frac >= 0.99)
     detail = (f"{100.0 * frac:.2f}% of paths within bound {bound:.4f} "
@@ -196,8 +191,7 @@ def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble, nu_ensembles: 
     the step vanishes.
     """
     horizon, dt = base_ensemble.provenance["horizon"], base_ensemble.provenance["dt"]
-    target = oscillator.euler_covariance(
-        horizon, oscillator.OscillatorScenario(nu=base_nu), dt)[2, 2] / horizon ** 2
+    target = oscillator.euler_covariance(horizon, _oscillator(base_nu), dt)[2, 2] / horizon ** 2
     band = 3.0 * target * math.sqrt(2.0 / len(base_ensemble))
     results = {base_nu: base_ensemble.values}
     results.update({nu: ensemble.values for nu, ensemble in nu_ensembles.items()})
@@ -216,8 +210,7 @@ def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble, nu_ensembles: 
 
 
 def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
-                     m: int = 10000, seed: int = 42, workers: int = 1,
-                     closed_form_paths: int = 100) -> list:
+                     m: int = 10000, seed: int = 42, workers: int = 1) -> list:
     """Full oracle battery at the given scale (oscillator scenario only).
 
     The two batch checks and then the chunks of its four ensembles are jobs
@@ -226,15 +219,14 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
     the results.  Every job is a pure function of its seeds, so the results
     do not depend on ``workers``.
     """
+    scenario = _oscillator(nu)
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    weights = oscillator.momentum_quadrature_weights(
-        params.times(), oscillator.OscillatorScenario(nu=nu))
+    weights = oscillator.momentum_quadrature_weights(params.times(), scenario)
     nu_values = (0.25, 1.0)
     plans = [
         # the weighted base ensemble serves both consistency and nu invariance
-        momentum.plan(Scenario(kind="oscillator-ground", nu=nu), params, m,
-                      time_weights=weights),
-        *(momentum.plan(Scenario(kind="oscillator-ground", nu=v),
+        momentum.plan(scenario, params, m, time_weights=weights),
+        *(momentum.plan(_oscillator(v),
                         sde.SimParams(nu=v, dt=dt, horizon=horizon, seed=seed + 404 + offset),
                         m)
           for offset, v in enumerate(nu_values, start=1)),
@@ -243,8 +235,7 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
     # check functions are looked up by module attribute here, so wrappers
     # installed on the module also see the calls made in pool workers
     batch_checks = [
-        functools.partial(check_coupled_closed_form, nu=nu, dt=dt,
-                          n_paths=closed_form_paths, seed=seed + 101),
+        functools.partial(check_coupled_closed_form, nu=nu, dt=dt, seed=seed + 101),
         functools.partial(check_picard_equivalence, nu=nu, dt=dt, seed=seed + 202),
     ]
     # the batch checks go to the pool first: with 1,000 paths to T = 10 the
@@ -257,7 +248,7 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
     return [
         closed_form,
         picard,
-        check_autocovariance(nu=nu, ensemble=autocov_ensemble),
+        check_autocovariance(autocov_ensemble, nu=nu),
         check_momentum_consistency(base_ensemble, nu=nu, dt=dt, horizon=horizon),
         check_nu_invariance(base_ensemble, dict(zip(nu_values, by_nu)), base_nu=nu),
     ]

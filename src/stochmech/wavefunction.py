@@ -229,11 +229,6 @@ class FreeGridDriftEvaluator:
         self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=grid_state.spacing)) ** 2
         self._cache = {}
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
     def state(self, t: float) -> WaveState:
         """The initial state freely evolved to absolute time t: each Fourier
         mode picks up exp(-i k^2 (t - t0) / 2), exactly norm preserving and

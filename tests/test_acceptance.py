@@ -42,11 +42,10 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def oscillator_ensemble():
-    scen = oscillator.OscillatorScenario(nu=NU)
+    scenario = Scenario(kind="oscillator-ground", nu=NU)
     params = sde.SimParams(nu=NU, dt=DT, horizon=HORIZON, seed=42)
-    weights = oscillator.momentum_quadrature_weights(params.times(), scen)
-    return momentum.collect(Scenario(kind="oscillator-ground", nu=NU), params, M,
-                            time_weights=weights, workers=WORKERS)
+    weights = oscillator.momentum_quadrature_weights(params.times(), scenario)
+    return momentum.collect(scenario, params, M, time_weights=weights, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +110,8 @@ def test_criterion_5_picard_equivalence():
 
 
 def test_criterion_6_ou_autocovariance():
-    result = verify.check_autocovariance(nu=NU, dt=DT, m=M, seed=3042,
-                                         workers=WORKERS)
+    ensemble = momentum.collect(**verify._autocov_request(NU, DT, M, 3042), workers=WORKERS)
+    result = verify.check_autocovariance(ensemble, nu=NU)
     report(6, result.passed, result.detail)
 
 

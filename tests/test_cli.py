@@ -1,5 +1,6 @@
 """Configuration handling, run artifacts, determinism, and the verify battery."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from stochmech import cli, momentum, oscillator, tableio, verify
 from stochmech.errors import ConfigError, StochmechError
+from stochmech.scenarios import Scenario
 
 
 def run_main(*argv):
@@ -211,7 +213,8 @@ def test_workers_beyond_the_usable_cpus_start_no_pool(tmp_path, monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(momentum, "ProcessPoolExecutor", no_pool)
+    # momentum imports the pool class from here only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run_main("run", "--paths", "2100", "--horizon", "0.01", "--workers", "1000",
                     "--out", str(tmp_path)) == 0
 
@@ -353,8 +356,18 @@ def test_density_out_onto_a_file_is_a_config_error(tmp_path, capsys):
 # verify battery (reduced scale; acceptance runs the stated sizes)
 # ---------------------------------------------------------------------------
 
+_CLOSED_FORM_CHECK = verify.check_coupled_closed_form
+
+
+def _closed_form_check_on_40_paths(**kwargs):
+    # a module function, unlike a partial of the patched-over check, so that
+    # pool workers unpickle it by name
+    return _CLOSED_FORM_CHECK(**kwargs, n_paths=40)
+
+
 def test_verify_checks_pass_at_reduced_scale(monkeypatch):
-    scale = dict(nu=0.5, dt=2e-3, horizon=10.0, m=400, seed=99, closed_form_paths=40)
+    scale = dict(nu=0.5, dt=2e-3, horizon=10.0, m=400, seed=99)
+    monkeypatch.setattr(verify, "check_coupled_closed_form", _closed_form_check_on_40_paths)
     pooled = verify.run_verification(**scale, workers=2)
     # one worker runs every job in process: wrappers on the module's check_*
     # attributes, as perfbench installs them, see all five checks
@@ -387,7 +400,6 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
     """The closed-form check's ``devs`` from whole-mesh arrays: all of every
     path's increments drawn at once, each mesh stepped in one call."""
     from stochmech import sde
-    from stochmech.scenarios import Scenario
     scenario = Scenario(kind="oscillator-ground", nu=nu)
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
@@ -403,7 +415,7 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
         x = sde.integrate_batch(interacting, x0, params, incs)
         xf = sde.co_integrate_batch(free, x0, params, incs)
         cf, _ = oscillator.coupled_path_closed_form(
-            params.times(), x, oscillator.OscillatorScenario(nu=nu))
+            params.times(), x, scenario)
         devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
     return devs
 
@@ -462,7 +474,7 @@ def test_nu_invariance_band_is_centred_on_the_finite_horizon_variance(variance, 
     horizon = 1.0
     if variance == "euler":
         variance = oscillator.euler_covariance(
-            horizon, oscillator.OscillatorScenario(nu=0.5), 1e-3)[2, 2] / horizon ** 2
+            horizon, Scenario(kind="oscillator-ground", nu=0.5), 1e-3)[2, 2] / horizon ** 2
     z = np.random.default_rng(3).standard_normal(1000)
     values = math.sqrt(variance) * (z - z.mean()) / z.std(ddof=1)
     others = {nu: _momentum_ensemble(values.copy(), horizon) for nu in (0.25, 1.0)}
@@ -481,7 +493,6 @@ def test_batched_picard_check_matches_the_scalar_route():
     # the check steps its paths as one batch; one path at a time through the
     # single-path integrators gives the same worst gap and ratio bit for bit
     from stochmech import sde
-    from stochmech.scenarios import Scenario
     nu, dt, horizon, n_paths, seed = 0.5, 1e-3, 1.0, 4, 2000
     result = verify.check_picard_equivalence(nu=nu, dt=dt, horizon=horizon,
                                              n_paths=n_paths, seed=seed)

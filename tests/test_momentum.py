@@ -1,7 +1,7 @@
 """Momentum extraction, P = x_F(t0 + T) / T, and ensemble collection."""
 
+import dataclasses
 import functools
-import math
 import time
 import warnings
 
@@ -71,6 +71,16 @@ def test_collect_requires_positive_ensemble():
         momentum.collect(OSC, params, 0)
 
 
+@pytest.mark.parametrize("field, value", [("nu", 2.0), ("t0", 0.5)])
+def test_plan_refuses_params_that_disagree_with_the_scenario(field, value):
+    # the drift would follow the scenario and the provenance the params
+    params = dataclasses.replace(sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=1),
+                                 **{field: value})
+    message = f"params.{field} = {value!r} differs from scenario.{field} = {getattr(OSC, field)!r}"
+    with pytest.raises(ValueError, match=message):
+        momentum.collect(OSC, params, 10)
+
+
 def test_collect_matches_per_path_estimates():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=7)
     ensemble = momentum.collect(OSC, params, 3)
@@ -85,25 +95,53 @@ def test_collect_matches_per_path_estimates():
         assert ensemble.extras["xf_final"][i] == pair.free_positions[-1]
 
 
-def test_collect_invariant_under_chunking_and_workers():
+def chunk_at_most(monkeypatch, paths, pooled=None):
+    """Cap chunks at ``paths`` in process, and at ``pooled`` on a pool."""
+    monkeypatch.setattr(momentum, "DEFAULT_CHUNK", paths)
+    if pooled is not None:
+        monkeypatch.setattr(momentum, "MAX_CHUNK", pooled)
+
+
+def test_collect_invariant_under_chunking_and_workers(monkeypatch):
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=11)
-    small_chunks = momentum.collect(OSC, params, 7, chunk_size=2)
-    one_chunk = momentum.collect(OSC, params, 7, chunk_size=512)
-    pooled = momentum.collect(OSC, params, 7, chunk_size=2, workers=2)
+    chunk_at_most(monkeypatch, 2, pooled=2)
+    small_chunks = momentum.collect(OSC, params, 7)
+    pooled = momentum.collect(OSC, params, 7, workers=2)
+    chunk_at_most(monkeypatch, 512)
+    one_chunk = momentum.collect(OSC, params, 7)
     assert np.array_equal(small_chunks.values, one_chunk.values)
     assert np.array_equal(small_chunks.values, pooled.values)
 
 
-@pytest.mark.parametrize("m, chunk_size, workers", [
-    (1, momentum.DEFAULT_CHUNK, 2), (5, 5, 2), (7, 2, 2), (10, 4, 3), (9, 3, 1)])
-def test_plan_splits_paths_into_contiguous_chunks(m, chunk_size, workers):
+@pytest.mark.parametrize("chunk, workers, jobs", [
+    (1, 1, 11), (3, 1, 4), (2048, 1, 1), (1, 2, 2), (3, 2, 2), (2048, 2, 1)])
+def test_collect_is_the_same_for_any_default_chunk(monkeypatch, chunk, workers, jobs):
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.05, seed=19)
+    request = dict(scenario=OSC, params=params, ensemble_size=11,
+                   time_weights=np.linspace(0.0, 1.0, params.steps + 1),
+                   record_times=[0.01, 0.03])
+    reference = momentum.collect(**request)
+    chunk_at_most(monkeypatch, chunk)
+    assert len(momentum.plan(**request, workers=workers).jobs) == jobs
+    ensemble = momentum.collect(**request, workers=workers)
+    assert np.array_equal(ensemble.values.view(np.int64), reference.values.view(np.int64))
+    assert np.array_equal(ensemble.path_indices, reference.path_indices)
+    assert ensemble.extras.keys() == reference.extras.keys()
+    for key, value in reference.extras.items():
+        assert np.array_equal(ensemble.extras[key], value), key
+
+
+@pytest.mark.parametrize("m, cap, workers", [
+    (1, 2048, 2), (5, 5, 2), (7, 2, 2), (10, 4, 3), (9, 3, 1)])
+def test_plan_splits_paths_into_contiguous_chunks(monkeypatch, m, cap, workers):
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.01, seed=5)
-    plan = momentum.plan(OSC, params, m, chunk_size=chunk_size)
+    chunk_at_most(monkeypatch, cap)
+    plan = momentum.plan(OSC, params, m)
     chunks = momentum.run_jobs(plan.jobs, workers)
-    assert len(chunks) == -(-m // chunk_size)
+    assert len(chunks) == -(-m // cap)
     start = 0
     for chunk in chunks:
-        assert 1 <= len(chunk.path_indices) <= chunk_size
+        assert 1 <= len(chunk.path_indices) <= cap
         assert list(chunk.path_indices) == list(range(start, start + len(chunk.path_indices)))
         start += len(chunk.path_indices)
     assert start == m
@@ -117,24 +155,29 @@ def test_chunk_rule_gives_each_pool_process_an_equal_share(m, workers):
     assert np.array_equal(np.concatenate(chunks), np.arange(m))
     sizes = [len(chunk) for chunk in chunks]
     assert max(sizes) <= momentum.MAX_CHUNK
+    assert max(sizes) - min(sizes) <= 1
     pool = min(workers, len(chunks))           # the pool run_jobs starts
     if pool > 1:
-        assert max(sizes) - min(sizes) <= 1
         assert len(chunks) % pool == 0
     else:
-        expected = [len(c) for c in momentum.chunk_indices(m, chunk_size=momentum.DEFAULT_CHUNK)]
-        assert sizes == expected
+        # in process: as many chunks as DEFAULT_CHUNK cuts, none larger
+        assert len(chunks) == -(-m // momentum.DEFAULT_CHUNK)
+        assert max(sizes) <= momentum.DEFAULT_CHUNK
 
 
-def test_chunk_rule_caps_the_pool_at_the_default_chunking():
+def test_chunk_rule_caps_the_pool_at_the_default_chunking(monkeypatch):
     # the pool never grows beyond the jobs that DEFAULT_CHUNK would cut
     assert [len(c) for c in momentum.chunk_indices(10_000, 1000)] == [2000] * 5
     assert [len(c) for c in momentum.chunk_indices(10_000, 2)] == [5000] * 2
-    assert [len(c) for c in momentum.chunk_indices(10, 4, chunk_size=3)] == [3, 3, 3, 1]
+    assert [len(c) for c in momentum.chunk_indices(10_000, 1)] == [2000] * 5
+    assert [len(c) for c in momentum.chunk_indices(2050, 1)] == [1025] * 2
+    chunk_at_most(monkeypatch, 3)
+    assert [len(c) for c in momentum.chunk_indices(10, 1)] == [3, 3, 2, 2]
+    assert [len(c) for c in momentum.chunk_indices(10, 4)] == [3, 3, 2, 2]
 
 
 def test_pooled_default_plan_matches_the_in_process_one():
-    # 2,050 paths: 2,048 + 2 in process, 2 x 1,025 on a pool of 2 or 3
+    # 2,050 paths: 2 x 1,025 in process and on a pool of 2 or 3
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.01, seed=23)
     ensembles = [momentum.collect(OSC, params, 2050, workers=w) for w in (1, 2, 3)]
     for ensemble in ensembles[1:]:
@@ -143,16 +186,16 @@ def test_pooled_default_plan_matches_the_in_process_one():
         assert np.array_equal(ensemble.path_indices, np.arange(2050))
 
 
-def test_interleaved_ensembles_on_one_pool_match_their_own_collect():
+def test_interleaved_ensembles_on_one_pool_match_their_own_collect(monkeypatch):
     weighted = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=61)
     recorded = sde.SimParams(nu=0.25, dt=1e-3, horizon=0.4, seed=62)
     other = Scenario(kind="oscillator-ground", nu=0.25)
     requests = [
-        dict(scenario=OSC, params=weighted, ensemble_size=7, chunk_size=2,
+        dict(scenario=OSC, params=weighted, ensemble_size=7,
              time_weights=np.linspace(0.0, 1.0, weighted.steps + 1)),
-        dict(scenario=other, params=recorded, ensemble_size=5, chunk_size=2,
-             record_times=[0.1, 0.2]),
+        dict(scenario=other, params=recorded, ensemble_size=5, record_times=[0.1, 0.2]),
     ]
+    chunk_at_most(monkeypatch, 2)
     plans = [momentum.plan(**request) for request in requests]
     # alternate the two ensembles' chunks: a, b, a, b, a, b, a
     order = sorted((i, k) for k, p in enumerate(plans) for i in range(len(p.jobs)))
@@ -201,13 +244,14 @@ def test_collect_extras_and_provenance():
     assert list(ensemble.path_indices) == [0, 1, 2, 3]
 
 
-def test_record_times_join_the_policy_checkpoints():
+def test_record_times_join_the_policy_checkpoints(monkeypatch):
     # t = 0 and T are rows the kernel keeps anyway, so each asks for one
     # row; t = 0.3 and 0.5 add rows between them
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=2.0, seed=71)
     times = [0.0, 0.3, 0.5, 2.0]
-    plain = momentum.collect(OSC, params, 5, chunk_size=2)
-    recorded = momentum.collect(OSC, params, 5, chunk_size=2, record_times=times)
+    chunk_at_most(monkeypatch, 2)
+    plain = momentum.collect(OSC, params, 5)
+    recorded = momentum.collect(OSC, params, 5, record_times=times)
     assert momentum.plan(OSC, params, 5, record_times=times).rows == [0, 300, 500, 2000]
     assert np.array_equal(plain.values, recorded.values)
     assert np.array_equal(plain.extras["x_final"], recorded.extras["x_final"])
@@ -229,9 +273,7 @@ def test_target_density_is_nu_independent():
     assert np.array_equal(d1.density, d2.density)
 
 
-def test_chunk_failures_carry_path_indices():
-    import dataclasses
-
+def test_chunk_failures_carry_path_indices(monkeypatch):
     class Exploding:
         def __call__(self, rng):
             raise RuntimeError("sampler blew up")
@@ -239,8 +281,9 @@ def test_chunk_failures_carry_path_indices():
     bad = dataclasses.replace(OSC)
     object.__setattr__(bad, "initial_sampler", lambda: Exploding())
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=3)
+    chunk_at_most(monkeypatch, 2)
     with pytest.raises(momentum.PathSimulationError) as err:
-        momentum.collect(bad, params, 4, chunk_size=2)
+        momentum.collect(bad, params, 4)
     assert err.value.path_indices == (0, 1)
     assert "sampler blew up" in str(err.value)
 
@@ -254,16 +297,17 @@ def test_grid_custom_scenario_runs():
     assert np.all(np.isfinite(ensemble.values))
 
 
-def test_narrow_grid_run_warns_once_per_process():
+def test_narrow_grid_run_warns_once_per_process(monkeypatch):
     # on +-6 the ground state's edge amplitude, exp(-18) of its peak, is past
     # the boundary threshold from the first free slice on; every slice warns
     # with one message, so the default filter shows it once
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-6.0, 6.0),
                         grid_points=256)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.1, seed=37)
+    chunk_at_most(monkeypatch, 10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        momentum.collect(scenario, params, 20, chunk_size=10, workers=1)
+        momentum.collect(scenario, params, 20, workers=1)
     assert [w.category for w in caught] == [GridTooNarrowWarning]
 
 
@@ -288,7 +332,7 @@ def test_free_scenario_variance_tracks_quantum_spreading():
     assert abs(sample_var - expected) < 4.0 * expected * np.sqrt(2.0 / m)
 
 
-def test_grid_custom_collect_under_process_pool(tmp_path):
+def test_grid_custom_collect_under_process_pool(monkeypatch, tmp_path):
     from stochmech import wavefunction as wf
     state_path = tmp_path / "state.tsv"
     wf.write_state(wf.to_grid(wf.harmonic_ground_state(), extent=(-30.0, 30.0),
@@ -296,14 +340,13 @@ def test_grid_custom_collect_under_process_pool(tmp_path):
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
                         grid_points=512, state_file=str(state_path))
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.2, seed=41)
-    serial = momentum.collect(scenario, params, 4, chunk_size=2)
-    pooled = momentum.collect(scenario, params, 4, chunk_size=2, workers=2)
+    chunk_at_most(monkeypatch, 2, pooled=2)
+    serial = momentum.collect(scenario, params, 4)
+    pooled = momentum.collect(scenario, params, 4, workers=2)
     assert np.array_equal(serial.values, pooled.values)
 
 
 def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
-    import dataclasses
-
     fields_built = []
     drifts_built = []
     drift_fields, drift = Scenario.drift_fields, wf.drift
@@ -321,16 +364,19 @@ def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
                         grid_points=1024)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.2, seed=43)
-    chunked = momentum.collect(scenario, params, 50, chunk_size=10, workers=1)
+    chunk_at_most(monkeypatch, 10)
+    chunked = momentum.collect(scenario, params, 50, workers=1)
     # five chunks, one drift pair: the interacting field and one free slice
     # per step time, shared by every chunk
     assert fields_built == [0.5]
     assert len(drifts_built) == 1 + params.steps
-    whole = momentum.collect(scenario, params, 50, chunk_size=50)
+    chunk_at_most(monkeypatch, 50)
+    whole = momentum.collect(scenario, params, 50)
     assert np.array_equal(chunked.values.view(np.int64), whole.values.view(np.int64))
     # the memo does not outlive a collect: another nu gets its own fields
+    chunk_at_most(monkeypatch, 10)
     other = dataclasses.replace(scenario, nu=0.25)
-    momentum.collect(other, dataclasses.replace(params, nu=0.25), 50, chunk_size=10)
+    momentum.collect(other, dataclasses.replace(params, nu=0.25), 50)
     assert fields_built == [0.5, 0.5, 0.25]
     assert momentum._setup.cache_info().currsize == 0
 
@@ -367,9 +413,11 @@ def test_long_run_chunks_reuse_the_first_512_free_slices(monkeypatch):
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),
                         grid_points=1024)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.6, seed=47)
-    whole = momentum.collect(scenario, params, 20, chunk_size=20)
+    chunk_at_most(monkeypatch, 20)
+    whole = momentum.collect(scenario, params, 20)
     monkeypatch.setattr(wf, "drift", counting_drift)
-    chunked = momentum.collect(scenario, params, 20, chunk_size=10, workers=1)
+    chunk_at_most(monkeypatch, 10)
+    chunked = momentum.collect(scenario, params, 20, workers=1)
     # one interacting drift, then the free slices
     assert len(slices) == 1 + 600 + (600 - 512)
     assert np.array_equal(chunked.values.view(np.int64), whole.values.view(np.int64))

@@ -11,7 +11,7 @@ from stochmech import sde
 from stochmech import wavefunction as wf
 from stochmech.scenarios import Scenario
 
-SCEN = osc.OscillatorScenario(nu=0.5, t0=0.0)
+SCEN = Scenario(kind="oscillator-ground", nu=0.5, t0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +20,7 @@ SCEN = osc.OscillatorScenario(nu=0.5, t0=0.0)
 
 def test_gamma_vanishes_at_start():
     assert osc.gamma(0.0, SCEN) == 0.0
-    scen2 = osc.OscillatorScenario(nu=0.25, t0=1.5)
+    scen2 = Scenario(kind="oscillator-ground", nu=0.25, t0=1.5)
     assert osc.gamma(1.5, scen2) == 0.0
 
 
@@ -33,7 +33,7 @@ def test_gamma_closed_form_value():
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("t", [0.3, 1.0, 4.0, 20.0])
 def test_gamma_matches_quadrature_of_rate(nu, t):
-    scen = osc.OscillatorScenario(nu=nu)
+    scen = Scenario(kind="oscillator-ground", nu=nu)
     value, err = scipy_integrate.quad(
         lambda s: (2.0 * nu - s) / (1.0 + s * s), 0.0, t, limit=200)
     assert abs(osc.gamma(t, scen) - value) < 1e-10 + 10.0 * err
@@ -145,7 +145,7 @@ def test_closed_form_matrix_matches_per_path():
 def test_closed_form_in_row_blocks_equals_one_call_bitwise(shape, rows):
     # blocks share their edge rows; the carry heads each block's cumulative
     # sums, so every row is that of the whole-mesh call to the last bit
-    scen = osc.OscillatorScenario(nu=0.75, t0=0.3)
+    scen = Scenario(kind="oscillator-ground", nu=0.75, t0=0.3)
     times = 0.3 + 1e-3 * np.arange(shape[0])
     x = 0.1 * np.random.default_rng(rows).standard_normal(shape).cumsum(axis=0)
     whole, whole_carry = osc.coupled_path_closed_form(times, x, scen)
@@ -164,7 +164,7 @@ def test_closed_form_in_row_blocks_equals_one_call_bitwise(shape, rows):
 
 def test_integral_variance_against_brute_force_double_quadrature():
     # the continuous-time variance; the scheme's differs by O(dt) (3e-5 at dt 1e-3)
-    scen = osc.OscillatorScenario(nu=0.5)
+    scen = Scenario(kind="oscillator-ground", nu=0.5)
     horizon = 5.0
 
     def weight(t):
@@ -182,7 +182,7 @@ def test_integral_variance_against_brute_force_double_quadrature():
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
 def test_momentum_variance_approaches_one_half(nu):
     # E(P^2) = 1/2 for every nu; the truncated integral sits at 1/2 - 2 nu / T
-    scen = osc.OscillatorScenario(nu=nu)
+    scen = Scenario(kind="oscillator-ground", nu=nu)
     horizon = 200.0
     value = osc.euler_covariance(horizon, scen, 1e-3)[0, 0] + 2.0 * nu / horizon
     assert value == pytest.approx(0.5, abs=2e-3)
@@ -201,7 +201,7 @@ def test_estimator_second_moments_frozen_values():
 def test_euler_covariance_matches_the_forward_recursion(nu, horizon, dt, t0):
     # step the covariance of the state (x, x_F, quadrature) the way the kernel
     # steps the state; the last case has 2 nu dt > 1
-    scen = osc.OscillatorScenario(nu=nu, t0=t0)
+    scen = Scenario(kind="oscillator-ground", nu=nu, t0=t0)
     steps = round(horizon / dt)
     t = t0 + dt * np.arange(steps + 1)
     c = dt * osc.momentum_quadrature_weights(t, scen)
@@ -241,7 +241,7 @@ def _ensemble_chunk(nu, horizon, dt, m, seed, **kwargs):
 def test_momentum_integral_variance_monte_carlo():
     # ensemble check of the truncated quadrature against its exact variance
     nu, m, horizon, dt = 0.5, 4000, 50.0, 0.01
-    scen = osc.OscillatorScenario(nu=nu)
+    scen = Scenario(kind="oscillator-ground", nu=nu)
     weights = osc.momentum_quadrature_weights(sde.SimParams(nu, dt, horizon).times(), scen)
     chunk = _ensemble_chunk(nu, horizon, dt, m, 404, time_weights=weights)
     sample_var = chunk.weighted_integral.var(ddof=1)
@@ -256,7 +256,7 @@ def test_joint_law_of_the_coupled_endpoints():
     m, horizon, dt = 4000, 5.0, 1e-3
     targets = {}
     for nu in (0.5, 0.25):
-        cov = osc.euler_covariance(horizon, osc.OscillatorScenario(nu=nu), dt)
+        cov = osc.euler_covariance(horizon, Scenario(kind="oscillator-ground", nu=nu), dt)
         targets[nu] = cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])
     band = 4.0 * max(1.0 - r * r for r in targets.values()) / math.sqrt(m - 3)
     assert abs(targets[0.5] - targets[0.25]) > 2.0 * band
@@ -279,7 +279,7 @@ def test_ou_covariance_closed_form():
 def test_closed_form_with_shifted_start_time():
     # the whole coupling is anchored at t0; nothing may assume t0 = 0
     t0 = 1.5
-    scen = osc.OscillatorScenario(nu=0.5, t0=t0)
+    scen = Scenario(kind="oscillator-ground", nu=0.5, t0=t0)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=5.0, t0=t0, seed=83)
     field = wf.drift(wf.harmonic_ground_state(time=t0), 0.5)
     free = wf.drift(wf.free_gaussian_state(time=t0, t0=t0), 0.5)

@@ -1,0 +1,49 @@
+"""Source hygiene: every imported name is read, and ``stochmech.cli`` loads
+no process-pool machinery until a pool starts."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stochmech
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(Path(stochmech.__file__).parent.glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path: Path) -> list:
+    """Names that ``path`` imports and never reads (``__future__`` features
+    and the package ``__init__``'s re-exports aside)."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    assert unused_imports(path) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # in-process runs (one worker, --dump-paths, density) never start a pool
+    probe = "import sys, stochmech.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(stochmech.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

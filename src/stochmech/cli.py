@@ -24,7 +24,7 @@ from typing import Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__, momentum, sde, stats, tableio, verify
+from . import __version__, momentum, sde, stats, tableio
 from . import wavefunction as wf
 from .errors import ConfigError, StochmechError
 from .scenarios import SCENARIO_KINDS, Scenario
@@ -34,6 +34,9 @@ from .scenarios import SCENARIO_KINDS, Scenario
 DUMP_VALUES = 1 << 20
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
+# Most grid points accepted: the momentum density's zero-padded FFT then
+# holds 4 x 2**20 complex values, 64 MiB.
+GRID_POINT_LIMIT = 1 << 20
 # The one momentum reduction, x_F(t0 + T) / T; ``policy`` still names it so
 # that existing configs and command lines keep working.
 POLICIES = ("ratio",)
@@ -108,11 +111,22 @@ class ScenarioConfig:
             raise ConfigError(f"policy: {self.policy!r} is not one of {POLICIES}")
         if self.grid_points < 16:
             raise ConfigError("grid_points: must be >= 16")
+        if self.grid_points > GRID_POINT_LIMIT:
+            raise ConfigError(f"grid_points: must be <= {GRID_POINT_LIMIT}")
         if not self.grid_extent[0] < self.grid_extent[1]:
             raise ConfigError("grid_extent: lower bound must be below upper bound")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
-        if self.state_file is not None:
+        if self.state_file is None:
+            # the grid every scenario's momentum density is computed on; an
+            # overflowing extent is reported by the error, not by warnings
+            try:
+                with np.errstate(all="ignore"):
+                    wf.to_grid(wf.harmonic_ground_state(), self.grid_extent, self.grid_points)
+            except ValueError as err:
+                raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
+                                  f"{self.grid_points} points: {err}") from err
+        else:
             if self.scenario != "grid-custom":
                 raise ConfigError(f"state_file: only grid-custom reads a state file, "
                                   f"not {self.scenario}")
@@ -316,6 +330,8 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here, so that run and density never load the oracle modules
+    from . import verify
     config = load_config(args)
     if config.scenario != "oscillator-ground":
         raise ConfigError("scenario: verify requires the oscillator-ground scenario")

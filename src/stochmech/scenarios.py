@@ -11,7 +11,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -23,23 +23,25 @@ SCENARIO_KINDS = ("oscillator-ground", "free-gaussian", "grid-custom")
 
 @dataclass(frozen=True)
 class GaussianInitialSampler:
-    """Exact sampler for a centered Gaussian |psi0|^2 with the given sigma."""
+    """Exact sampler for a centered Gaussian |psi0|^2 with the given sigma:
+    one position per generator of ``rngs``, sigma times its one normal."""
 
     sigma: float
 
-    def __call__(self, rng: np.random.Generator) -> float:
-        return self.sigma * rng.standard_normal()
+    def __call__(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+        return self.sigma * np.array([rng.standard_normal() for rng in rngs])
 
 
 @dataclass(frozen=True)
 class GridInitialSampler:
-    """Inverse-CDF sampler on the tabulated |psi0|^2."""
+    """Inverse-CDF sampler on the tabulated |psi0|^2: one position per
+    generator of ``rngs``, the CDF inverted at its one uniform."""
 
     x: np.ndarray
     cdf: np.ndarray
 
-    def __call__(self, rng: np.random.Generator) -> float:
-        return float(np.interp(rng.random(), self.cdf, self.x))
+    def __call__(self, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+        return np.interp(np.array([rng.random() for rng in rngs]), self.cdf, self.x)
 
 
 @functools.lru_cache(maxsize=1)

@@ -17,6 +17,7 @@ of numpy's SeedSequence hash; the tests check its words and draws against
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -66,6 +67,9 @@ class SimParams:
             raise ValueError("dt must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if not self.horizon / self.dt <= np.iinfo(np.intp).max:
+            raise ValueError(f"horizon / dt must be at most {np.iinfo(np.intp).max} "
+                             f"steps, the most numpy can index")
         steps = round(self.horizon / self.dt)
         if steps < 1 or abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an exact multiple of dt")
@@ -205,17 +209,23 @@ def _noise_blocks(params: SimParams, path_indices):
     ``path_indices``, each drawn from its own stream.  Paths are drawn in
     tiles of TILE rows, then scaled and transposed into one (BLOCK x paths)
     buffer that every block reuses, so a block is only valid until the next
-    is drawn."""
-    rngs = list(path_rngs(params.seed, path_indices, STREAM_NOISE))
-    n, steps, scale = len(rngs), params.steps, params.noise_scale
+    is drawn.  The first block seeds each tile's generators as it draws it
+    and keeps them only when another block follows, so a walk of at most
+    BLOCK steps holds no more than TILE generators at once."""
+    fresh = path_rngs(params.seed, path_indices, STREAM_NOISE)
+    n, steps, scale = len(path_indices), params.steps, params.noise_scale
     buf = np.empty((min(BLOCK, steps), n))
     tile = np.empty((min(TILE, n), len(buf)))
+    kept = []
     for k in range(0, steps, BLOCK):
         m = min(BLOCK, steps - k)
         for s in range(0, n, TILE):
             r = min(TILE, n - s)
-            for row, rng in zip(tile[:r, :m], rngs[s:s + r]):
+            rngs = kept[s:s + r] if k else list(itertools.islice(fresh, r))
+            for row, rng in zip(tile[:r, :m], rngs):
                 rng.standard_normal(out=row)
+            if k == 0 and steps > BLOCK:
+                kept += rngs
             np.multiply(tile[:r, :m].T, scale, out=buf[:m, s:s + r])
         yield k, buf[:m]
 
@@ -227,11 +237,10 @@ def wiener_increments(params: SimParams) -> np.ndarray:
 
 
 def initial_positions(seed: int, path_indices, sampler: Callable) -> np.ndarray:
-    """Initial positions of the paths ``path_indices``: path i's is drawn by
-    ``sampler`` (the scenario's t0 density) from its (seed, i, STREAM_INITIAL)
-    stream."""
-    return np.array([float(sampler(rng))
-                     for rng in path_rngs(seed, path_indices, STREAM_INITIAL)])
+    """Initial positions of the paths ``path_indices``: ``sampler`` (the
+    scenario's t0 density) takes the paths' (seed, i, STREAM_INITIAL)
+    generators, in order, and draws path i's position from its own."""
+    return sampler(path_rngs(seed, path_indices, STREAM_INITIAL))
 
 
 def draw_initial(params: SimParams, sampler: Callable) -> float:

@@ -237,7 +237,12 @@ class FreeGridDriftEvaluator:
         amplitude at either grid edge exceeds BOUNDARY_AMPLITUDE of its peak:
         the periodic step then wraps it around the box."""
         t = float(t)
-        psi = np.fft.ifft(self.spectrum * np.exp(-0.5j * self.k2 * (t - self.t0)))
+        # k2[n - j] == k2[j] exactly (fftfreq negates j * val), so the factor
+        # is evaluated over modes 0..n // 2 and mirrored onto the rest
+        n = len(self.k2)
+        half = np.exp(-0.5j * self.k2[:n // 2 + 1] * (t - self.t0))
+        phase = np.concatenate((half, half[1:(n + 1) // 2][::-1]))
+        psi = np.fft.ifft(self.spectrum * phase)
         mags = np.abs(psi)
         if max(mags[0], mags[-1]) > BOUNDARY_AMPLITUDE * mags.max():
             warnings.warn(f"relative amplitude at a grid edge exceeds {BOUNDARY_AMPLITUDE:.0e}; "

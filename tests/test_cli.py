@@ -26,6 +26,16 @@ def test_default_config_is_valid():
     cli.ScenarioConfig().validate()
 
 
+# grids the config describes but the state cannot be built on; before, each
+# crashed every run and density with a traceback
+DEGENERATE_GRIDS = {
+    "subnormal-spacing": {"grid_extent": (0.0, 1e-320)},
+    "overflowing-spacing": {"grid_extent": (-1e308, 1e308)},
+    "all-zero-amplitude": {"grid_extent": (1e3, 1e4)},
+    "too-many-points": {"grid_points": 5_000_000_000},
+}
+
+
 def test_config_rejects_bad_fields(tmp_path):
     with pytest.raises(ConfigError, match="paths"):
         cli.ScenarioConfig(paths=0).validate()
@@ -43,6 +53,43 @@ def test_config_rejects_bad_fields(tmp_path):
     with pytest.raises(ConfigError, match="state_file"):
         cli.ScenarioConfig(scenario="grid-custom",
                            state_file=str(tmp_path / "missing.tsv")).validate()
+    for grid in DEGENERATE_GRIDS.values():
+        with pytest.raises(ConfigError, match=f"^{next(iter(grid))}: "):
+            cli.ScenarioConfig(**grid).validate()
+    cli.ScenarioConfig(grid_points=cli.GRID_POINT_LIMIT).validate()
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_GRIDS))
+@pytest.mark.parametrize("command", ["run", "density"])
+def test_degenerate_grid_is_a_config_error(tmp_path, capsys, command, case):
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "config.json"
+    grid = {name: list(value) if isinstance(value, tuple) else value
+            for name, value in DEGENERATE_GRIDS[case].items()}
+    cfg_path.write_text(json.dumps({"paths": 10, "horizon": 0.1, "workers": 1,
+                                    "out": str(out), **grid}))
+    assert run_main(command, "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {next(iter(grid))}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("horizon, dt", [("1", "1e-300"), ("1e300", "1"), ("1e300", "1e-300")])
+def test_more_steps_than_numpy_can_index_is_a_config_error(tmp_path, capsys, command,
+                                                           horizon, dt):
+    # before, run failed after staging its directory and verify printed a
+    # traceback
+    out = tmp_path / "runs"
+    code = run_main(command, "--horizon", horizon, "--dt", dt, "--paths", "10",
+                    "--workers", "1", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: horizon/dt: horizon / dt must be at most")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -408,8 +455,7 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
     dw = np.stack([rng.standard_normal(fine.steps)
                    for rng in sde.path_rngs(seed, range(n_paths), sde.STREAM_NOISE)], axis=1)
     dw *= fine.noise_scale
-    x0 = np.array([float(sampler(rng))
-                   for rng in sde.path_rngs(seed, range(n_paths), sde.STREAM_INITIAL)])
+    x0 = sampler(sde.path_rngs(seed, range(n_paths), sde.STREAM_INITIAL))
     devs = {}
     for params, incs in ((fine, dw), (coarse, dw[0::2] + dw[1::2])):
         x = sde.integrate_batch(interacting, x0, params, incs)

@@ -1,6 +1,7 @@
 """Wiener streams, Euler-Maruyama integration, coupling, and the Picard solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from stochmech import sde
 from stochmech import wavefunction as wf
 from stochmech.errors import NoConvergence
-from stochmech.scenarios import GaussianInitialSampler
+from stochmech.scenarios import GaussianInitialSampler, Scenario
 from stochmech.wavefunction import DriftField
 
 
@@ -53,6 +54,15 @@ def test_params_refuse_non_finite_fields(name):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             sde.SimParams(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("horizon, dt", [(1.0, 1e-300), (1e300, 1.0), (1e300, 1e-300)])
+def test_params_refuse_more_steps_than_numpy_can_index(horizon, dt):
+    # before, the first two failed inside the run and the last overflowed
+    # round() with an OverflowError
+    with pytest.raises(ValueError, match="^horizon / dt must be at most"):
+        sde.SimParams(nu=0.5, dt=dt, horizon=horizon)
+    assert sde.SimParams(nu=0.5, dt=1.0, horizon=2.0 ** 62).steps == 2 ** 62
 
 
 @pytest.mark.parametrize("t0, dt, horizon", [(0.0, 1e-3, 10.0), (0.3, 5e-4, 2.561),
@@ -100,6 +110,24 @@ def test_initial_draw_independent_of_increments():
     assert np.array_equal(sde.wiener_increments(params), sde.wiener_increments(params))
 
 
+@pytest.mark.parametrize("n", [1, 64, 4095, 4097])
+@pytest.mark.parametrize("kind", ["oscillator-ground", "grid-custom"])
+def test_samplers_draw_each_paths_position_from_its_own_stream(kind, n):
+    # one transform per chunk equals the per-path scalar draw bit for bit;
+    # np.interp precomputes its slopes once a chunk has more points than the
+    # 4,096-point table
+    sampler = Scenario(kind=kind, nu=0.5).initial_sampler()
+    x0 = sde.initial_positions(9, range(n), sampler)
+    rngs = sde.path_rngs(9, range(n), sde.STREAM_INITIAL)
+    if kind == "grid-custom":
+        assert len(sampler.x) == 4096
+        expected = [float(np.interp(rng.random(), sampler.cdf, sampler.x)) for rng in rngs]
+    else:
+        expected = [math.sqrt(0.5) * rng.standard_normal() for rng in rngs]
+    assert x0.shape == (n,)
+    assert np.array_equal(x0.view(np.int64), np.array(expected).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # stream seeding
 # ---------------------------------------------------------------------------
@@ -144,7 +172,7 @@ def test_ensemble_kernel_builds_no_seed_sequence(monkeypatch):
                                           record_indices=[0, params.steps])
     monkeypatch.undo()
     for i in range(6):
-        x0 = sampler(seed_sequence_rng(5, i, sde.STREAM_INITIAL))
+        x0 = sampler([seed_sequence_rng(5, i, sde.STREAM_INITIAL)])[0]
         dw = params.noise_scale * seed_sequence_rng(5, i, sde.STREAM_NOISE).standard_normal(
             params.steps)
         path = sde.integrate(interacting, x0, params, increments=dw)
@@ -304,18 +332,42 @@ def test_batch_matches_single_path_bitwise(monkeypatch, n):
 
 
 def test_noise_blocks_are_each_paths_own_increments(monkeypatch):
-    # 500 steps in 128-step blocks end on a short one; 70 paths fill one
-    # noise tile and part of a second
+    # in 128-step blocks: 500 steps end on a short block; 127 and 128 steps
+    # are one block, drawn by generators that are not kept, and 129 steps
+    # keep them for a one-step second block.  70 paths fill one noise tile
+    # and part of a second, 1, TILE and TILE + 1 paths one tile or just past
     monkeypatch.setattr(sde, "BLOCK", 128)
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.5, seed=43)
-    indices = range(3, 73)
-    blocks = [(k, dw.copy()) for k, dw in sde._noise_blocks(params, indices)]
-    assert [k for k, _ in blocks] == [0, 128, 256, 384]
-    dw = np.concatenate([block for _, block in blocks])
-    assert dw.shape == (params.steps, len(indices))
-    for j, i in enumerate(indices):
-        own = sde.wiener_increments(params.with_path_index(i))
-        assert np.array_equal(dw[:, j].view(np.int64), own.view(np.int64))
+    tile = sde.TILE
+    cases = [(500, range(3, 73))] + [(steps, range(3, 3 + n)) for steps in (127, 128, 129)
+                                     for n in (1, tile, tile + 1)]
+    for steps, indices in cases:
+        params = sde.SimParams(nu=0.5, dt=1e-3, horizon=steps * 1e-3, seed=43)
+        assert params.steps == steps
+        blocks = [(k, dw.copy()) for k, dw in sde._noise_blocks(params, indices)]
+        assert [k for k, _ in blocks] == list(range(0, steps, 128))
+        dw = np.concatenate([block for _, block in blocks])
+        assert dw.shape == (params.steps, len(indices))
+        for j, i in enumerate(indices):
+            own = sde.wiener_increments(params.with_path_index(i))
+            assert np.array_equal(dw[:, j].view(np.int64), own.view(np.int64)), (steps, i)
+
+
+def test_a_one_block_walk_holds_at_most_a_tile_of_generators():
+    # 2,000 paths x 250 steps, the shape of a grid-run chunk.  Beyond its
+    # noise buffer and tile the walk holds the seed words (62 KiB), a tile's
+    # generators (64 x 0.8 KiB) and numpy's copy buffers, about 250 KiB in
+    # all; holding every generator adds 1.6 MiB
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.25, seed=42)
+    n = 2000
+    buffers = (params.steps * n + sde.TILE * params.steps) * 8
+    tracemalloc.start()
+    try:
+        for _ in sde._noise_blocks(params, range(n)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 512 * 1024, (peak, buffers)
 
 
 def test_block_size_does_not_change_the_ensemble(monkeypatch):

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is read, and ``stochmech.cli`` loads
-no process-pool machinery until a pool starts."""
+no process-pool machinery until a pool starts, nor the oracle modules until
+``verify`` runs."""
 
 import ast
 import os
@@ -41,9 +42,11 @@ def test_every_imported_name_is_read(path):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # in-process runs (one worker, --dump-paths, density) never start a pool
-    probe = "import sys, stochmech.cli; print('multiprocessing' in sys.modules)"
+    # in-process runs (one worker, --dump-paths, density) never start a pool,
+    # and only verify needs the oracle modules
+    modules = ["multiprocessing", "stochmech.verify", "stochmech.oscillator"]
+    probe = f"import sys, stochmech.cli; print([m in sys.modules for m in {modules}])"
     src = str(Path(stochmech.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == str([False] * len(modules))

@@ -213,6 +213,18 @@ def test_spectral_propagation_matches_closed_form(tau):
     assert abs(_norm(out) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("points", [4096, 1023])
+def test_half_spectrum_phase_factor_equals_the_full_one_bitwise(points):
+    # the step evaluates exp(-i k^2 tau / 2) over modes 0..n // 2 and mirrors it
+    initial = wf.to_grid(wf.harmonic_ground_state(time=0.3), points=points)
+    evaluator = wf.FreeGridDriftEvaluator(initial, 0.5)
+    for t in (0.3, 0.301, 1.0, 2.3, -1.7):
+        full = np.exp(-0.5j * evaluator.k2 * (t - 0.3))
+        expected = np.fft.ifft(evaluator.spectrum * full)
+        out = evaluator.state(t).amplitude
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64)), t
+
+
 def test_propagation_is_time_reversible():
     initial = wf.to_grid(wf.harmonic_ground_state())
     forward = propagate(initial, 1.5)

@@ -12,6 +12,7 @@ byte-stable under re-runs of the same configuration for any worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,9 +30,9 @@ from . import wavefunction as wf
 from .errors import ConfigError, StochmechError
 from .scenarios import SCENARIO_KINDS, Scenario
 
-# Recorded values per side that one kernel call of --dump-paths may hold:
-# a batch is as many paths as fit their (steps + 1) rows into this budget.
-DUMP_VALUES = 1 << 20
+# Paths that --dump-paths steps together: the dump holds their open tables
+# and one block of BLOCK rows each, whatever the horizon.
+DUMP_BATCH = sde.TILE
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
 # Most grid points accepted: the momentum density's zero-padded FFT then
@@ -212,30 +213,34 @@ def _write_manifest(run_dir: str, config: ScenarioConfig) -> None:
 
 
 def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
-    """One t/x/x_F/dW table per path, simulated on the ensemble kernel in
-    batches of as many paths as fit DUMP_VALUES recorded values; dW is the
-    path's own increment stream, padded with a trailing 0 to the row count."""
+    """One t/x/x_F/dW table per path, written as the paths are stepped:
+    DUMP_BATCH paths at a time walk the noise blocks of ``sde._noise_blocks``
+    through the batch integrators, and each block's rows go to the paths'
+    tables before the next block is drawn.  dW is the path's own increment
+    stream, padded with a trailing 0 on the last row."""
     scenario = config.scenario_obj()
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
     params = config.sim_params()
-    times = params.times()
     dump_dir = tableio.ensure_dir(os.path.join(run_dir, "paths"))
-    per_batch = max(1, DUMP_VALUES // (params.steps + 1))
-    for start in range(0, config.paths, per_batch):
-        batch = sde.simulate_coupled_ensemble(
-            interacting, free, sampler, params,
-            range(start, min(start + per_batch, config.paths)),
-            record_indices=np.arange(params.steps + 1))
-        noise = sde.path_rngs(params.seed, batch.path_indices, sde.STREAM_NOISE)
-        for j, (index, rng) in enumerate(zip(batch.path_indices, noise)):
-            dw = params.noise_scale * rng.standard_normal(params.steps)
-            tableio.write_table(os.path.join(dump_dir, f"path_{index:05d}.tsv"), {
-                "t": times,
-                "x": batch.recorded_x[:, j],
-                "x_F": batch.recorded_xf[:, j],
-                "dW": np.append(dw, 0.0),
-            })
+    for first in range(0, config.paths, DUMP_BATCH):
+        idx = np.arange(first, min(first + DUMP_BATCH, config.paths))
+        with contextlib.ExitStack() as stack:
+            tables = [stack.enter_context(tableio.open_table(
+                          os.path.join(dump_dir, f"path_{i:05d}.tsv"), ("t", "x", "x_F", "dW")))
+                      for i in idx]
+            x = xf = sde.initial_positions(params.seed, idx, sampler)
+            for k, dw in sde._noise_blocks(params, idx):
+                m = len(dw)
+                xs = sde.integrate_batch(interacting, x, params, dw, start=k)
+                xfs = sde.co_integrate_batch(free, xf, params, dw, start=k)
+                t = params.times(k, k + m)
+                for j, append in enumerate(tables):
+                    append((t, xs[:m, j], xfs[:m, j], dw[:, j]))
+                x, xf = xs[m], xfs[m]
+            t = params.times(params.steps)
+            for j, append in enumerate(tables):
+                append((t, x[j:j + 1], xf[j:j + 1], [0.0]))
 
 
 def _missing_dirs(path: str) -> list:

@@ -7,6 +7,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Iterator
@@ -38,17 +39,33 @@ def format_rows(columns) -> Iterator[str]:
         yield (row_fmt * rows) % tuple(flat)
 
 
-def write_table(path, columns: dict) -> None:
-    """Write named columns (equal-length 1-d arrays) as a TSV table."""
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    n = len(arrays[0])
-    for name, arr in zip(names, arrays):
-        if len(arr) != n:
-            raise ValueError(f"column {name!r} has length {len(arr)}, expected {n}")
+@contextlib.contextmanager
+def open_table(path, names):
+    """A TSV table with the header line ``names``, open for appending row
+    blocks: yields ``append(columns)``, which writes one block of
+    equal-length 1-d columns, one per name, in header order.  The file is
+    closed when the ``with`` block ends, also when it raises."""
+    names = list(names)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(names) + "\n")
-        fh.writelines(format_rows(arrays))
+
+        def append(columns) -> None:
+            arrays = [np.asarray(col) for col in columns]
+            if len(arrays) != len(names):
+                raise ValueError(f"the header has {len(names)} columns, the block {len(arrays)}")
+            n = len(arrays[0])
+            for name, arr in zip(names, arrays):
+                if len(arr) != n:
+                    raise ValueError(f"column {name!r} has length {len(arr)}, expected {n}")
+            fh.writelines(format_rows(arrays))
+
+        yield append
+
+
+def write_table(path, columns: dict) -> None:
+    """Write named columns (equal-length 1-d arrays) as a TSV table."""
+    with open_table(path, columns) as append:
+        append(columns.values())
 
 
 def read_table(path) -> dict:

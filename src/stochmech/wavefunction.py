@@ -351,11 +351,19 @@ def momentum_density(initial: GaussianState | WaveState,
     amp = state.amplitude
     n = len(amp) * 4
     h = state.spacing
-    padded = np.concatenate([amp, np.zeros(n - len(amp), dtype=complex)])
-    p = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=h))
-    psi_hat = h * np.fft.fftshift(np.fft.fft(padded))
-    rho = np.abs(psi_hat) ** 2 / (2.0 * np.pi)
-    return MomentumDensity(p=p, density=rho)
+    buf = np.zeros(n, dtype=complex)
+    buf[:len(amp)] = amp
+    np.fft.fft(buf, out=buf)
+    buf *= h
+    # |psi_hat|^2 / 2 pi in place, shifted once it is real (elementwise steps
+    # commute with the shift); the complex buffer is freed before p is built
+    rho = np.abs(buf)
+    del buf
+    rho **= 2
+    rho /= 2.0 * np.pi
+    p = np.fft.fftshift(np.fft.fftfreq(n, d=h))
+    p *= 2.0 * np.pi
+    return MomentumDensity(p=p, density=np.fft.fftshift(rho))
 
 
 # ---------------------------------------------------------------------------

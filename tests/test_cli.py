@@ -1,6 +1,7 @@
 """Configuration handling, run artifacts, determinism, and the verify battery."""
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochmech import cli, momentum, oscillator, tableio, verify
+from stochmech import cli, momentum, oscillator, sde, tableio, verify
 from stochmech.errors import ConfigError, StochmechError
 from stochmech.scenarios import Scenario
 
@@ -332,27 +333,96 @@ def test_dumped_path_satisfies_recursion(small_run):
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     # every data artifact (manifest carries a timestamp) is byte-stable
-    # across re-runs and worker counts; a budget of 8 paths of 1,001 rows
-    # makes the 30 dumped paths span several kernel batches of the dump
-    monkeypatch.setattr(cli, "DUMP_VALUES", 8 * 1001)
+    # across re-runs, worker counts and the dump's batch and block sizes:
+    # batches of 8 paths and blocks of 200 steps make the 30 dumped paths
+    # span 4 batches of 5 noise blocks each
     artifacts = ("ensemble.tsv", "density.tsv", "histogram.tsv", "summary.json")
     outs = []
-    for sub, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+    for sub, workers, batch, block in (("a", "1", 8, 200), ("b", "2", 8, 200),
+                                       ("c", "1", cli.DUMP_BATCH, sde.BLOCK)):
+        monkeypatch.setattr(cli, "DUMP_BATCH", batch)
+        monkeypatch.setattr(sde, "BLOCK", block)
         out = tmp_path / sub
         code = run_main("run", "--paths", "30", "--horizon", "1.0", "--seed", "11",
                         "--out", str(out), "--workers", workers, "--dump-paths")
         assert code == 0
         (run_dir,) = out.iterdir()
         dumps = sorted((run_dir / "paths").iterdir())
-        assert len(dumps) == 30 > cli.DUMP_VALUES // 1001
+        assert len(dumps) == 30
         outs.append(tuple((run_dir / name).read_bytes() for name in artifacts)
                     + tuple((p.name, p.read_bytes()) for p in dumps))
     assert outs[0] == outs[1] == outs[2]
 
 
+# SHA-256 of the concatenated paths/*.tsv, in name order, of a 12-path dump
+# at T = 1.2 (three noise blocks), seed 5, one worker, and of its density.tsv
+DUMP_DIGESTS = {
+    "oscillator-ground": "1cc7ba38f7737fd92cdb500ec990590f1dd4c8f56c513b9072caddea0ad58ab4",
+    "free-gaussian": "82ca9a65396a8d94cd1447264115e5ef0a4ad1cacc28ffc7348450c9419037c0",
+    "grid-custom": "dfc9777c71e489478cdd9c05d83b052585ff0a4212df097164f5447d3e4b3ed7",
+}
+DENSITY_DIGEST = "d894e7c401cf883bf5d66773c05fd03e501699456372f29df910ba75bb520c9f"
+
+
+@pytest.mark.parametrize("scenario", sorted(DUMP_DIGESTS))
+def test_dump_and_density_bytes_are_pinned(tmp_path, scenario):
+    assert run_main("run", "--scenario", scenario, "--paths", "12", "--horizon", "1.2",
+                    "--seed", "5", "--workers", "1", "--dump-paths",
+                    "--out", str(tmp_path)) == 0
+    (run_dir,) = tmp_path.iterdir()
+    dumps = sorted((run_dir / "paths").iterdir())
+    assert len(dumps) == 12
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in dumps)).hexdigest()
+    assert digest == DUMP_DIGESTS[scenario]
+    assert hashlib.sha256((run_dir / "density.tsv").read_bytes()).hexdigest() == DENSITY_DIGEST
+
+
+def test_dump_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the dump writes each block of rows before it draws the next, so its
+    # peak at T = 8 is its peak at T = 2; holding whole paths, it grew by
+    # about 1.7 MB.  An untraced first dump fills what any first call fills
+    def dump(horizon):
+        run_dir = tmp_path / f"T{horizon}"
+        run_dir.mkdir()
+        cli._dump_paths(str(run_dir), cli.ScenarioConfig(paths=16, horizon=horizon, seed=5))
+
+    dump(0.1)
+    peaks = []
+    for horizon in (2.0, 8.0):
+        tracemalloc.start()
+        try:
+            dump(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_dump_leaves_no_run_directory_and_no_open_file(tmp_path, monkeypatch, capsys):
+    co_integrate_batch = sde.co_integrate_batch
+    calls = []
+
+    def fail_in_the_second_block(*args, **kwargs):
+        calls.append(kwargs["start"])
+        if len(calls) == 2:
+            raise StochmechError("boom")
+        return co_integrate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "co_integrate_batch", fail_in_the_second_block)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    out = tmp_path / "runs"
+    code = run_main("run", "--paths", "10", "--horizon", "1.2", "--workers", "1",
+                    "--dump-paths", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert calls == [0, sde.BLOCK]
+    assert not out.exists()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
 def test_dumped_paths_match_single_path_integration(small_run):
     # the batched dump reproduces the single-path integrators bit for bit
-    from stochmech import sde
     config = cli.ScenarioConfig(paths=40, horizon=2.0, seed=5)
     interacting, free = config.scenario_obj().drift_fields()
     sampler = config.scenario_obj().initial_sampler()
@@ -446,7 +516,6 @@ def test_verify_closed_form_check_scales_with_coarse_dt():
 def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
     """The closed-form check's ``devs`` from whole-mesh arrays: all of every
     path's increments drawn at once, each mesh stepped in one call."""
-    from stochmech import sde
     scenario = Scenario(kind="oscillator-ground", nu=nu)
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
@@ -471,7 +540,6 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
 def test_streamed_closed_form_check_matches_whole_meshes(fine_steps, n_paths):
     # dt/2 meshes shorter than the 512-step block, one block, one block and a
     # pair, and a short last block; the check holds no whole mesh
-    from stochmech import sde
     assert sde.BLOCK == 512
     dt = 1e-3
     horizon = fine_steps * 0.5 * dt
@@ -538,7 +606,6 @@ def test_verify_cli_passes_at_a_short_horizon(capsys):
 def test_batched_picard_check_matches_the_scalar_route():
     # the check steps its paths as one batch; one path at a time through the
     # single-path integrators gives the same worst gap and ratio bit for bit
-    from stochmech import sde
     nu, dt, horizon, n_paths, seed = 0.5, 1e-3, 1.0, 4, 2000
     result = verify.check_picard_equivalence(nu=nu, dt=dt, horizon=horizon,
                                              n_paths=n_paths, seed=seed)

@@ -1,4 +1,5 @@
-"""Table writer: the chunked formatter against a per-value reference."""
+"""Table writer: the chunked formatter and the block-appending writer against
+a per-value reference."""
 
 import numpy as np
 import pytest
@@ -71,3 +72,18 @@ def test_format_rows_concatenates_to_table_body():
 def test_unequal_columns_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="'b' has length 2"):
         tableio.write_table(tmp_path / "t.tsv", {"a": np.zeros(3), "b": np.zeros(2)})
+
+
+def test_appended_blocks_equal_one_table(tmp_path):
+    rng = np.random.default_rng(3)
+    columns = {"k": np.arange(50), "x": rng.standard_normal(50)}
+    with tableio.open_table(tmp_path / "blocks.tsv", columns) as append:
+        for rows in (slice(0, 7), slice(7, 7), slice(7, 50)):
+            append([col[rows] for col in columns.values()])
+    assert (tmp_path / "blocks.tsv").read_bytes() == reference_table(columns)
+
+
+def test_block_of_the_wrong_width_is_rejected(tmp_path):
+    with tableio.open_table(tmp_path / "t.tsv", ["a", "b"]) as append:
+        with pytest.raises(ValueError, match="the header has 2 columns, the block 1"):
+            append([np.zeros(3)])

@@ -7,7 +7,6 @@ produces byte-identical files.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 from typing import Iterator
@@ -39,33 +38,29 @@ def format_rows(columns) -> Iterator[str]:
         yield (row_fmt * rows) % tuple(flat)
 
 
-@contextlib.contextmanager
-def open_table(path, names):
-    """A TSV table with the header line ``names``, open for appending row
-    blocks: yields ``append(columns)``, which writes one block of
-    equal-length 1-d columns, one per name, in header order.  The file is
-    closed when the ``with`` block ends, also when it raises."""
-    names = list(names)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(names) + "\n")
-
-        def append(columns) -> None:
-            arrays = [np.asarray(col) for col in columns]
-            if len(arrays) != len(names):
-                raise ValueError(f"the header has {len(names)} columns, the block {len(arrays)}")
-            n = len(arrays[0])
-            for name, arr in zip(names, arrays):
-                if len(arr) != n:
-                    raise ValueError(f"column {name!r} has length {len(arr)}, expected {n}")
-            fh.writelines(format_rows(arrays))
-
-        yield append
-
-
 def write_table(path, columns: dict) -> None:
     """Write named columns (equal-length 1-d arrays) as a TSV table."""
-    with open_table(path, columns) as append:
-        append(columns.values())
+    arrays = _arrays(columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines(format_rows(arrays))
+
+
+def append_rows(path, columns: dict) -> None:
+    """Append rows to a table that :func:`write_table` began; ``columns``
+    names the table's columns in header order."""
+    arrays = _arrays(columns)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(format_rows(arrays))
+
+
+def _arrays(columns: dict) -> list:
+    arrays = [np.asarray(col) for col in columns.values()]
+    n = len(arrays[0])
+    for name, arr in zip(columns, arrays):
+        if len(arr) != n:
+            raise ValueError(f"column {name!r} has length {len(arr)}, expected {n}")
+    return arrays
 
 
 def read_table(path) -> dict:

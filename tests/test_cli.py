@@ -377,6 +377,34 @@ def test_dump_and_density_bytes_are_pinned(tmp_path, scenario):
     assert hashlib.sha256((run_dir / "density.tsv").read_bytes()).hexdigest() == DENSITY_DIGEST
 
 
+def test_dump_rebuilds_uncached_free_slices_once_per_batch(tmp_path, monkeypatch):
+    # 600 steps: each batch builds the 88 free slices past the evaluator's
+    # 512-entry cache again, so 40 paths in one default batch build every
+    # slice once, and in batches of 16 build the 88 three times
+    from stochmech import wavefunction as wf
+    drift = wf.drift
+    slices = []
+
+    def counting_drift(state, nu):
+        slices.append(state.time)
+        return drift(state, nu)
+
+    monkeypatch.setattr(wf, "drift", counting_drift)
+    config = cli.ScenarioConfig(scenario="grid-custom", paths=40, horizon=0.6, seed=47,
+                                grid_extent=(-30.0, 30.0), grid_points=1024)
+    assert config.paths <= cli.DUMP_BATCH
+    built = []
+    for batch in (cli.DUMP_BATCH, 16):
+        monkeypatch.setattr(cli, "DUMP_BATCH", batch)
+        run_dir = tmp_path / f"batch{batch}"
+        run_dir.mkdir()
+        slices.clear()
+        cli._dump_paths(str(run_dir), config)
+        built.append(len(slices))
+    # one interacting drift, then the free slices
+    assert built == [1 + 600, 1 + 600 + 2 * (600 - 512)]
+
+
 def test_dump_memory_does_not_grow_with_the_horizon(tmp_path):
     # the dump writes each block of rows before it draws the next, so its
     # peak at T = 8 is its peak at T = 2; holding whole paths, it grew by

@@ -77,13 +77,8 @@ def test_unequal_columns_are_rejected(tmp_path):
 def test_appended_blocks_equal_one_table(tmp_path):
     rng = np.random.default_rng(3)
     columns = {"k": np.arange(50), "x": rng.standard_normal(50)}
-    with tableio.open_table(tmp_path / "blocks.tsv", columns) as append:
-        for rows in (slice(0, 7), slice(7, 7), slice(7, 50)):
-            append([col[rows] for col in columns.values()])
-    assert (tmp_path / "blocks.tsv").read_bytes() == reference_table(columns)
-
-
-def test_block_of_the_wrong_width_is_rejected(tmp_path):
-    with tableio.open_table(tmp_path / "t.tsv", ["a", "b"]) as append:
-        with pytest.raises(ValueError, match="the header has 2 columns, the block 1"):
-            append([np.zeros(3)])
+    path = tmp_path / "blocks.tsv"
+    for rows, write in ((slice(0, 7), tableio.write_table), (slice(7, 7), tableio.append_rows),
+                        (slice(7, 50), tableio.append_rows)):
+        write(path, {name: col[rows] for name, col in columns.items()})
+    assert path.read_bytes() == reference_table(columns)

@@ -99,17 +99,17 @@ class ScenarioConfig:
         return cls(**payload)
 
     def validate(self) -> "ScenarioConfig":
-        if self.scenario not in SCENARIO_KINDS:
-            raise ConfigError(f"scenario: {self.scenario!r} is not one of {SCENARIO_KINDS}")
-        for name in ("nu", "dt", "horizon"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name}: must be positive and finite")
+        try:
+            params = self.sim_params()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        scenario = self.scenario_obj()
         if self.paths < stats.MIN_KS_SAMPLES:
             raise ConfigError(f"paths: must be >= {stats.MIN_KS_SAMPLES}, "
                               f"the fewest samples the KS test accepts")
-        if self.seed < 0:
-            raise ConfigError("seed: must be non-negative")
+        if self.paths > np.iinfo(np.intp).max:
+            raise ConfigError(f"paths: must be <= {np.iinfo(np.intp).max}, "
+                              f"the most numpy can index")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy: {self.policy!r} is not one of {POLICIES}")
         if self.grid_points < 16:
@@ -130,11 +130,8 @@ class ScenarioConfig:
                 raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
                                   f"{self.grid_points} points: {err}") from err
         else:
-            if self.scenario != "grid-custom":
-                raise ConfigError(f"state_file: only grid-custom reads a state file, "
-                                  f"not {self.scenario}")
             try:
-                self.scenario_obj().initial_state()
+                scenario.initial_state()
             except OSError as err:
                 raise ConfigError(f"state_file: cannot read {self.state_file!r}: "
                                   f"{err.strerror}") from err
@@ -142,10 +139,6 @@ class ScenarioConfig:
                 raise ConfigError(f"state_file: {self.state_file!r} has no {err} column") from err
             except ValueError as err:
                 raise ConfigError(f"state_file: {self.state_file!r}: {err}") from err
-        try:
-            params = self.sim_params()
-        except ValueError as err:
-            raise ConfigError(f"horizon/dt: {err}") from err
         if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
             raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
                               f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
@@ -292,6 +285,10 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
 
     ensemble = momentum.collect(scenario, params, config.paths,
                                 workers=config.effective_workers())
+    bad = np.flatnonzero(~np.isfinite(ensemble.values))
+    if len(bad):
+        raise StochmechError(f"{len(bad)} of {len(ensemble)} momentum samples are not "
+                             f"finite, the first at path {ensemble.path_indices[bad[0]]}")
     tableio.write_table(os.path.join(run_dir, "ensemble.tsv"), {
         "path_index": ensemble.path_indices,
         "P": ensemble.values,

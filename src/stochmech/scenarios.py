@@ -62,8 +62,10 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"scenario: unknown kind {self.kind!r}; "
-                              f"expected one of {SCENARIO_KINDS}")
+            raise ConfigError(f"scenario: {self.kind!r} is not one of {SCENARIO_KINDS}")
+        if self.state_file is not None and self.kind != "grid-custom":
+            raise ConfigError(f"state_file: only grid-custom reads a state file, "
+                              f"not {self.kind}")
         if self.nu <= 0:
             raise ConfigError("nu: must be positive")
 
@@ -79,22 +81,14 @@ class Scenario:
                           extent=self.grid_extent, points=self.grid_points)
 
     def drift_fields(self) -> Tuple[wf.DriftField, wf.DriftField]:
-        """(interacting, free) drift pair; identical objects for the free
-        scenario, where the coupling must be the identity map."""
-        if self.kind == "oscillator-ground":
-            interacting = wf.drift(wf.harmonic_ground_state(time=self.t0), self.nu)
-            free = wf.drift(wf.free_gaussian_state(time=self.t0, t0=self.t0), self.nu)
-            return interacting, free
-        if self.kind == "free-gaussian":
-            shared = wf.drift(wf.free_gaussian_state(time=self.t0, t0=self.t0), self.nu)
-            return shared, shared
+        """(interacting, free) drift pair of the t0 state; equal for free-gaussian."""
         state = self.initial_state()
-        return wf.drift(state, self.nu), wf.free_drift_field_from_grid(state, self.nu)
+        return wf.drift(state, self.nu), wf.free_drift(state, self.nu)
 
     def initial_sampler(self):
-        if self.kind in ("oscillator-ground", "free-gaussian"):
-            return GaussianInitialSampler(sigma=math.sqrt(0.5))
         state = self.initial_state()
+        if isinstance(state, wf.GaussianState):
+            return GaussianInitialSampler(sigma=math.sqrt(0.5))
         prob = np.abs(state.amplitude) ** 2
         h = state.spacing
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (prob[1:] + prob[:-1]) * h)))

@@ -58,21 +58,19 @@ class SimParams:
     path_index: int = 0
 
     def __post_init__(self):
-        for name in ("nu", "dt", "horizon", "t0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        for name in ("nu", "dt", "horizon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0: must be finite")
         if not self.horizon / self.dt <= np.iinfo(np.intp).max:
-            raise ValueError(f"horizon / dt must be at most {np.iinfo(np.intp).max} "
-                             f"steps, the most numpy can index")
+            raise ValueError(f"horizon/dt: horizon / dt must be at most "
+                             f"{np.iinfo(np.intp).max} steps, the most numpy can index")
         steps = round(self.horizon / self.dt)
         if steps < 1 or abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be an exact multiple of dt")
+            raise ValueError("horizon/dt: horizon must be an exact multiple of dt")
+        if self.seed < 0:
+            raise ValueError("seed: must be non-negative")
 
     @property
     def steps(self) -> int:

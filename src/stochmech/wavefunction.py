@@ -311,6 +311,14 @@ def drift(state: GaussianState | WaveState, nu: float) -> DriftField:
                       domain=(float(xs[0]), float(xs[-1])))
 
 
+def free_drift(state: GaussianState | WaveState, nu: float) -> DriftField:
+    """Drift of ``state`` evolving freely: for a Gaussian state, the same
+    state spreading from its ``t0``; for a grid state, spectral propagation."""
+    if isinstance(state, GaussianState):
+        return drift(GaussianState(state.time, state.t0, spreading=True), nu)
+    return free_drift_field_from_grid(state, nu)
+
+
 def free_drift_field_from_grid(state: WaveState, nu: float) -> DriftField:
     """Time-dependent free drift for a grid initial state (spectral propagation)."""
     ev = FreeGridDriftEvaluator(state, nu)

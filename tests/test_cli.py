@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ def test_config_rejects_bad_fields(tmp_path):
         cli.ScenarioConfig(horizon=1.0005, dt=1e-3).validate()
     with pytest.raises(ConfigError, match="nu"):
         cli.ScenarioConfig(nu=-1.0).validate()
+    with pytest.raises(ConfigError, match="^seed: must be non-negative$"):
+        cli.ScenarioConfig(seed=-1).validate()
     with pytest.raises(ConfigError, match="state_file"):
         cli.ScenarioConfig(scenario="grid-custom",
                            state_file=str(tmp_path / "missing.tsv")).validate()
@@ -189,6 +192,50 @@ def test_invalid_paths_leaves_no_artifacts(tmp_path):
     out = tmp_path / "runs"
     code = run_main("run", "--paths", "0", "--out", str(out))
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_paths_beyond_what_numpy_can_index_is_a_config_error(tmp_path, capsys, command):
+    # before, both ended in momentum.chunk_indices with a ValueError traceback
+    out = tmp_path / "runs"
+    assert run_main(command, "--paths", str(10 ** 20), "--out", str(out)) == 2
+    limit = np.iinfo(np.intp).max
+    assert capsys.readouterr().err == (f"configuration error: paths: must be <= {limit}, "
+                                       f"the most numpy can index\n")
+    assert not out.exists()
+    cli.ScenarioConfig(paths=limit).validate()
+
+
+@pytest.mark.parametrize("scenario", ["oscillator-ground", "free-gaussian", "grid-custom"])
+def test_non_finite_momentum_samples_are_an_error(tmp_path, capsys, scenario):
+    # nu = 1e300 overflows x_F to NaN; before, the histogram of the samples
+    # ended the run in a ValueError traceback
+    out = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run_main("run", "--scenario", scenario, "--nu", "1e300", "--horizon", "0.01",
+                        "--paths", "10", "--workers", "1", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: 10 of 10 momentum samples are not finite, "
+                                       "the first at path 0\n")
+    assert not out.exists()
+
+
+def test_non_finite_samples_are_counted_from_the_first_bad_path(tmp_path, capsys, monkeypatch):
+    collect = momentum.collect
+
+    def spoiled(*args, **kwargs):
+        ensemble = collect(*args, **kwargs)
+        ensemble.values[[3, 7]] = [np.inf, np.nan]
+        return ensemble
+
+    monkeypatch.setattr(momentum, "collect", spoiled)
+    out = tmp_path / "runs"
+    assert run_main("run", "--paths", "10", "--horizon", "0.1", "--workers", "1",
+                    "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("error: 2 of 10 momentum samples are not finite, "
+                                       "the first at path 3\n")
     assert not out.exists()
 
 
@@ -711,6 +758,8 @@ def test_state_file_of_an_analytic_scenario_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: state_file: ")
     assert not out.exists()
+    with pytest.raises(ConfigError, match="^state_file: "):
+        Scenario(kind=scenario, nu=0.5, state_file="s.tsv")
 
 
 def test_grid_custom_run_reads_its_state_file_once(tmp_path, monkeypatch):

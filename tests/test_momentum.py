@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import time
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from stochmech import momentum, sde
 from stochmech import wavefunction as wf
 from stochmech.errors import GridTooNarrowWarning
-from stochmech.scenarios import Scenario
+from stochmech.scenarios import GaussianInitialSampler, GridInitialSampler, Scenario
 
 OSC = Scenario(kind="oscillator-ground", nu=0.5)
 
@@ -379,6 +380,23 @@ def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
     momentum.collect(other, dataclasses.replace(params, nu=0.25), 50)
     assert fields_built == [0.5, 0.5, 0.25]
     assert momentum._setup.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kind", ["oscillator-ground", "free-gaussian", "grid-custom"])
+def test_scenario_builds_its_fields_and_sampler_from_its_t0_state(kind):
+    scenario = Scenario(kind=kind, nu=0.5, t0=0.3, grid_points=256)
+    interacting, free = scenario.drift_fields()
+    sampler = scenario.initial_sampler()
+    if kind == "grid-custom":
+        assert isinstance(interacting.evaluator, wf.GridInterpEvaluator)
+        assert isinstance(free.evaluator, wf.FreeGridDriftEvaluator)
+        assert free.evaluator.t0 == 0.3
+        assert isinstance(sampler, GridInitialSampler)
+    else:
+        held = kind == "oscillator-ground"
+        assert interacting.evaluator == wf.GaussianDrift(nu=0.5, t0=0.3, spreading=not held)
+        assert free.evaluator == wf.GaussianDrift(nu=0.5, t0=0.3, spreading=True)
+        assert sampler == GaussianInitialSampler(sigma=math.sqrt(0.5))
 
 
 def test_grid_custom_drifts_match_analytic_oscillator():

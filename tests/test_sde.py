@@ -42,6 +42,8 @@ def test_params_validation():
         sde.SimParams(nu=0.5, dt=1e-3, horizon=0.0)
     with pytest.raises(ValueError):
         sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0005)
+    with pytest.raises(ValueError, match="^seed: must be non-negative$"):
+        sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=-1)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=50.0)
     assert params.steps == 50000
     times = params.times()
@@ -52,7 +54,8 @@ def test_params_validation():
 def test_params_refuse_non_finite_fields(name):
     fields = dict(nu=0.5, dt=1e-3, horizon=1.0, t0=0.0)
     for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        message = "must be finite" if name == "t0" else "must be positive and finite"
+        with pytest.raises(ValueError, match=f"^{name}: {message}$"):
             sde.SimParams(**{**fields, name: value})
 
 
@@ -60,7 +63,7 @@ def test_params_refuse_non_finite_fields(name):
 def test_params_refuse_more_steps_than_numpy_can_index(horizon, dt):
     # before, the first two failed inside the run and the last overflowed
     # round() with an OverflowError
-    with pytest.raises(ValueError, match="^horizon / dt must be at most"):
+    with pytest.raises(ValueError, match="^horizon/dt: horizon / dt must be at most"):
         sde.SimParams(nu=0.5, dt=dt, horizon=horizon)
     assert sde.SimParams(nu=0.5, dt=1.0, horizon=2.0 ** 62).steps == 2 ** 62
 

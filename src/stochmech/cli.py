@@ -37,9 +37,6 @@ from .scenarios import SCENARIO_KINDS, Scenario
 DUMP_BATCH = 1024
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
-# Most grid points accepted: the momentum density's zero-padded FFT then
-# holds 4 x 2**20 complex values, 64 MiB.
-GRID_POINT_LIMIT = 1 << 20
 # The one momentum reduction, x_F(t0 + T) / T; ``policy`` still names it so
 # that existing configs and command lines keep working.
 POLICIES = ("ratio",)
@@ -112,12 +109,6 @@ class ScenarioConfig:
                               f"the most numpy can index")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy: {self.policy!r} is not one of {POLICIES}")
-        if self.grid_points < 16:
-            raise ConfigError("grid_points: must be >= 16")
-        if self.grid_points > GRID_POINT_LIMIT:
-            raise ConfigError(f"grid_points: must be <= {GRID_POINT_LIMIT}")
-        if not self.grid_extent[0] < self.grid_extent[1]:
-            raise ConfigError("grid_extent: lower bound must be below upper bound")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
         if self.state_file is None:
@@ -168,24 +159,13 @@ class ScenarioConfig:
         return payload
 
 
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    mapping = {
-        "scenario": "scenario", "nu": "nu", "dt": "dt", "horizon": "horizon",
-        "paths": "paths", "seed": "seed", "policy": "policy", "out": "out",
-        "workers": "workers",
-    }
-    for arg_name, field_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(config, field_name, value)
-    if getattr(args, "dump_paths", False):
-        config.dump_paths = True
-    return config
-
-
 def load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The ``--config`` file's config, or the default one, with each flag
+    given setting the field of the same name (flags left out are not in ``args``)."""
     config = ScenarioConfig.from_file(args.config) if args.config else ScenarioConfig()
-    return _apply_overrides(config, args).validate()
+    names = {field.name for field in dataclasses.fields(ScenarioConfig)}
+    return dataclasses.replace(config, **{name: value for name, value in vars(args).items()
+                                          if name in names}).validate()
 
 
 def _unused_path(base: str) -> str:
@@ -283,8 +263,11 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
     params = config.sim_params()
     _write_manifest(run_dir, config)
 
-    ensemble = momentum.collect(scenario, params, config.paths,
-                                workers=config.effective_workers())
+    # an overflowing path ends in the error below, not in numpy's warnings;
+    # pool workers fork inside this context and inherit it
+    with np.errstate(over="ignore", invalid="ignore"):
+        ensemble = momentum.collect(scenario, params, config.paths,
+                                    workers=config.effective_workers())
     bad = np.flatnonzero(~np.isfinite(ensemble.values))
     if len(bad):
         raise StochmechError(f"{len(bad)} of {len(ensemble)} momentum samples are not "
@@ -292,7 +275,7 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
     tableio.write_table(os.path.join(run_dir, "ensemble.tsv"), {
         "path_index": ensemble.path_indices,
         "P": ensemble.values,
-        "T_used": np.full(len(ensemble), ensemble.horizon_used),
+        "T_used": np.full(len(ensemble), ensemble.provenance["horizon"]),
     })
 
     density = scenario.target_density()
@@ -336,6 +319,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args)
     if config.scenario != "oscillator-ground":
         raise ConfigError("scenario: verify requires the oscillator-ground scenario")
+    if config.t0 != 0:
+        raise ConfigError("t0: verify runs its checks from t0 = 0")
     results = verify.run_verification(nu=config.nu, dt=config.dt,
                                       horizon=config.horizon, m=config.paths,
                                       seed=config.seed,
@@ -348,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     config = load_config(args)
     density = config.scenario_obj().target_density()
-    if args.out is not None:
+    if "out" in vars(args):
         try:
             out_dir = tableio.ensure_dir(config.out)
         except OSError as err:
@@ -369,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo momentum sampling on coupled quantum diffusions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
+    # a flag left out is absent from the parsed arguments
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", default=None, help="JSON config file; flags override it")
     common.add_argument("--scenario", choices=SCENARIO_KINDS)
     common.add_argument("--nu", type=float, help="diffusion parameter")
     common.add_argument("--dt", type=float, help="time step")
@@ -383,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", parents=[common],
                                 help="simulate an ensemble and write artifacts")
-    run_parser.add_argument("--dump-paths", action="store_true",
+    run_parser.add_argument("--dump-paths", action="store_true", default=argparse.SUPPRESS,
                             help="write one t/x/x_F/dW table per path (large)")
     run_parser.set_defaults(func=cmd_run)
 

@@ -28,7 +28,6 @@ class MomentumEnsemble:
 
     values: np.ndarray
     path_indices: np.ndarray
-    horizon_used: float
     provenance: dict
     extras: dict = field(default_factory=dict)
 
@@ -133,7 +132,7 @@ class EnsemblePlan:
             # steps * dt, not horizon: the two can differ in the last bit
             values=xf_final / (self.params.steps * self.params.dt),
             path_indices=np.concatenate([ch.path_indices for ch in chunks]),
-            horizon_used=self.params.horizon, provenance=self.provenance, extras=extras)
+            provenance=self.provenance, extras=extras)
 
 
 def chunk_indices(ensemble_size: int, workers: int = 1) -> list:

@@ -19,6 +19,9 @@ from . import wavefunction as wf
 from .errors import ConfigError
 
 SCENARIO_KINDS = ("oscillator-ground", "free-gaussian", "grid-custom")
+# Most grid points accepted: the momentum density's zero-padded FFT then
+# holds 4 x 2**20 complex values, 64 MiB.
+GRID_POINT_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,16 @@ class Scenario:
         if self.state_file is not None and self.kind != "grid-custom":
             raise ConfigError(f"state_file: only grid-custom reads a state file, "
                               f"not {self.kind}")
-        if self.nu <= 0:
-            raise ConfigError("nu: must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ConfigError("nu: must be positive and finite")
+        if not math.isfinite(self.t0):
+            raise ConfigError("t0: must be finite")
+        if self.grid_points < 16:
+            raise ConfigError("grid_points: must be >= 16")
+        if self.grid_points > GRID_POINT_LIMIT:
+            raise ConfigError(f"grid_points: must be <= {GRID_POINT_LIMIT}")
+        if not self.grid_extent[0] < self.grid_extent[1]:
+            raise ConfigError("grid_extent: lower bound must be below upper bound")
 
     def initial_state(self) -> wf.GaussianState | wf.WaveState:
         if self.kind == "oscillator-ground":

@@ -142,17 +142,18 @@ def _autocov_request(nu, dt, m, seed) -> dict:
                 ensemble_size=m, record_times=record_times)
 
 
-def check_autocovariance(ensemble: momentum.MomentumEnsemble,
-                         nu: float = 0.5) -> CheckResult:
-    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma.
+def check_autocovariance(ensemble: momentum.MomentumEnsemble) -> CheckResult:
+    """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma, at
+    the ensemble's nu.
 
     ``ensemble`` is collected as ``_autocov_request`` asks.
     """
+    scenario = _oscillator(ensemble.provenance["nu"])
     points = stats.autocovariance(ensemble.extras["recorded_x"], dt=AUTOCOV_SPACING,
                                   lags=AUTOCOV_LAGS)
     worst_sigma = 0.0
     for pt in points:
-        target = float(oscillator.ou_covariance(0.0, pt.lag, _oscillator(nu)))
+        target = float(oscillator.ou_covariance(0.0, pt.lag, scenario))
         worst_sigma = max(worst_sigma, abs(pt.estimate - target) / pt.stderr)
     passed = bool(worst_sigma <= 5.0)
     detail = f"max |estimate - target| = {worst_sigma:.2f} standard errors over lags {AUTOCOV_LAGS}"
@@ -160,18 +161,19 @@ def check_autocovariance(ensemble: momentum.MomentumEnsemble,
                        data={"points": points, "worst_sigma": worst_sigma})
 
 
-def check_momentum_consistency(ensemble: momentum.MomentumEnsemble, nu: float = 0.5,
-                               dt: float = 1e-3, horizon: float = 50.0) -> CheckResult:
+def check_momentum_consistency(ensemble: momentum.MomentumEnsemble) -> CheckResult:
     """Two independent momentum routes per path: weighted quadrature of the
     interacting path vs the free-path ratio, within three exact standard
-    deviations of their difference under the Euler scheme at step ``dt``
-    (``oscillator.difference_bound``) on at least 99% of paths.
+    deviations of their difference under the Euler scheme at the ensemble's
+    nu, step and horizon (``oscillator.difference_bound``) on at least 99%
+    of paths.
 
     ``ensemble`` is collected with the oscillator's momentum quadrature
     weights as ``time_weights``.
     """
+    run = ensemble.provenance
     diffs = np.abs(ensemble.extras["weighted_integrals"] - ensemble.values)
-    bound = oscillator.difference_bound(horizon, _oscillator(nu), dt)
+    bound = oscillator.difference_bound(run["horizon"], _oscillator(run["nu"]), run["dt"])
     frac = float(np.mean(diffs <= bound))
     passed = bool(frac >= 0.99)
     detail = (f"{100.0 * frac:.2f}% of paths within bound {bound:.4f} "
@@ -180,17 +182,16 @@ def check_momentum_consistency(ensemble: momentum.MomentumEnsemble, nu: float = 
                        data={"fraction": frac, "bound": bound})
 
 
-def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble, nu_ensembles: dict,
-                        base_nu: float = 0.5) -> CheckResult:
+def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble,
+                        nu_ensembles: dict) -> CheckResult:
     """Momentum variance and distribution must not depend on nu.
 
     ``nu_ensembles`` maps each other nu to its ensemble, of the same size as
-    ``base_ensemble`` (at ``base_nu``).  Each Var(P) must lie within three
-    standard errors, 3 v sqrt(2 / M), of v, the exact Var(P) of the Euler
-    scheme at the base ensemble's horizon T and step, (1 + 1/T^2) / 2 as
-    the step vanishes.
+    ``base_ensemble``.  Each Var(P) must lie within three standard errors,
+    3 v sqrt(2 / M), of v, the exact Var(P) of the Euler scheme at the base
+    ensemble's nu, horizon T and step, (1 + 1/T^2) / 2 as the step vanishes.
     """
-    horizon, dt = base_ensemble.provenance["horizon"], base_ensemble.provenance["dt"]
+    base_nu, dt, horizon = (base_ensemble.provenance[k] for k in ("nu", "dt", "horizon"))
     target = oscillator.euler_covariance(horizon, _oscillator(base_nu), dt)[2, 2] / horizon ** 2
     band = 3.0 * target * math.sqrt(2.0 / len(base_ensemble))
     results = {base_nu: base_ensemble.values}
@@ -248,7 +249,7 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
     return [
         closed_form,
         picard,
-        check_autocovariance(autocov_ensemble, nu=nu),
-        check_momentum_consistency(base_ensemble, nu=nu, dt=dt, horizon=horizon),
-        check_nu_invariance(base_ensemble, dict(zip(nu_values, by_nu)), base_nu=nu),
+        check_autocovariance(autocov_ensemble),
+        check_momentum_consistency(base_ensemble),
+        check_nu_invariance(base_ensemble, dict(zip(nu_values, by_nu))),
     ]

@@ -292,8 +292,6 @@ def drift(state: GaussianState | WaveState, nu: float) -> DriftField:
     serves stationary dynamics or one time slice of a moving state
     (FreeGridDriftEvaluator).
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
     if isinstance(state, GaussianState):
         return DriftField(GaussianDrift(nu, state.t0, state.spreading))
     amps = state.amplitude

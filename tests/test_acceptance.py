@@ -111,13 +111,12 @@ def test_criterion_5_picard_equivalence():
 
 def test_criterion_6_ou_autocovariance():
     ensemble = momentum.collect(**verify._autocov_request(NU, DT, M, 3042), workers=WORKERS)
-    result = verify.check_autocovariance(ensemble, nu=NU)
+    result = verify.check_autocovariance(ensemble)
     report(6, result.passed, result.detail)
 
 
 def test_criterion_7_two_route_momentum(oscillator_ensemble):
-    result = verify.check_momentum_consistency(nu=NU, dt=DT, horizon=HORIZON,
-                                               ensemble=oscillator_ensemble)
+    result = verify.check_momentum_consistency(oscillator_ensemble)
     report(7, result.passed, result.detail)
 
 

@@ -1,17 +1,21 @@
 """Configuration handling, run artifacts, determinism, and the verify battery."""
 
+import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from stochmech import cli, momentum, oscillator, sde, tableio, verify
+from stochmech import cli, momentum, oscillator, scenarios, sde, tableio, verify
 from stochmech.errors import ConfigError, StochmechError
 from stochmech.scenarios import Scenario
 
@@ -60,7 +64,18 @@ def test_config_rejects_bad_fields(tmp_path):
     for grid in DEGENERATE_GRIDS.values():
         with pytest.raises(ConfigError, match=f"^{next(iter(grid))}: "):
             cli.ScenarioConfig(**grid).validate()
-    cli.ScenarioConfig(grid_points=cli.GRID_POINT_LIMIT).validate()
+    cli.ScenarioConfig(grid_points=scenarios.GRID_POINT_LIMIT).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu", math.nan), ("nu", math.inf), ("nu", 0.0), ("nu", -1.0), ("t0", math.inf),
+    ("grid_points", 15), ("grid_points", 2 ** 20 + 1), ("grid_extent", (1.0, 1.0)),
+])
+def test_scenario_checks_its_own_fields(field, value):
+    # library callers build a Scenario without a ScenarioConfig; before, a
+    # NaN or infinite nu built one whose drifts returned NaN
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        Scenario(**{"kind": "oscillator-ground", "nu": 0.5, field: value})
 
 
 @pytest.mark.parametrize("case", list(DEGENERATE_GRIDS))
@@ -96,17 +111,52 @@ def test_more_steps_than_numpy_can_index_is_a_config_error(tmp_path, capsys, com
     assert not out.exists()
 
 
-def test_config_file_with_flag_overrides(tmp_path):
+# each run flag with a value unlike the config file's below, and the field
+# value it stands for
+FLAG_OVERRIDES = {
+    "--scenario": ("oscillator-ground", "oscillator-ground"),
+    "--nu": ("1.0", 1.0),
+    "--dt": ("0.01", 0.01),
+    "--horizon": ("2.0", 2.0),
+    "--paths": ("30", 30),
+    "--seed": ("7", 7),
+    "--policy": ("ratio", "ratio"),      # its one legal value
+    "--out": ("elsewhere", "elsewhere"),
+    "--workers": ("3", 3),
+    "--dump-paths": (None, True),
+}
+
+
+def _option_actions(command):
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [action for action in sub.choices[command]._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "density"])
+def test_every_flag_sets_the_config_field_of_its_dest(command):
+    # a flag whose dest names no field would be dropped without a word
+    fields = {field.name for field in dataclasses.fields(cli.ScenarioConfig)}
+    dests = {action.dest for action in _option_actions(command)} - {"config"}
+    assert dests <= fields
+    if command == "run":
+        assert {action.option_strings[0] for action in _option_actions("run")} == \
+            {"--config", *FLAG_OVERRIDES}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_OVERRIDES))
+def test_config_file_with_flag_overrides(tmp_path, flag):
+    # a flag wins over the file, and sets its own field alone
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"scenario": "free-gaussian", "nu": 0.25,
                                     "paths": 20, "horizon": 1.0}))
-    parser = cli.build_parser()
-    args = parser.parse_args(["run", "--config", str(cfg_path), "--nu", "1.0",
-                              "--out", str(tmp_path / "runs")])
-    config = cli.load_config(args)
-    assert config.scenario == "free-gaussian"
-    assert config.nu == 1.0          # flag wins
-    assert config.paths == 20        # file value survives
+    text, value = FLAG_OVERRIDES[flag]
+    argv = ["run", "--config", str(cfg_path), flag] + ([text] if text is not None else [])
+    config = cli.load_config(cli.build_parser().parse_args(argv))
+    dest = flag[2:].replace("-", "_")
+    assert config == dataclasses.replace(cli.ScenarioConfig.from_file(cfg_path),
+                                         **{dest: value})
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -219,6 +269,23 @@ def test_non_finite_momentum_samples_are_an_error(tmp_path, capsys, scenario):
     assert code == 1
     assert capsys.readouterr().err == ("error: 10 of 10 momentum samples are not finite, "
                                        "the first at path 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("paths, workers", [(10, 1), (2100, 2)])
+def test_overflowing_run_prints_only_its_error(tmp_path, paths, workers):
+    # before, numpy's overflow and invalid-value warnings, with their source
+    # lines, came first: from this process, or from each of two pool workers
+    out = tmp_path / "runs"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochmech", "run", "--nu", "1e300", "--horizon", "0.01",
+         "--paths", str(paths), "--workers", str(workers), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {paths} of {paths} momentum samples are not finite, "
+                           f"the first at path 0\n")
+    assert proc.stdout == ""
     assert not out.exists()
 
 
@@ -653,8 +720,7 @@ def test_verify_negative_control_flipped_gamma(monkeypatch):
 
 def _momentum_ensemble(values, horizon, dt=1e-3):
     return momentum.MomentumEnsemble(values=values, path_indices=np.arange(len(values)),
-                                     horizon_used=horizon,
-                                     provenance={"horizon": horizon, "dt": dt})
+                                     provenance={"nu": 0.5, "horizon": horizon, "dt": dt})
 
 
 @pytest.mark.parametrize("variance,passes", [("euler", True), (0.5, False)])
@@ -701,6 +767,17 @@ def test_batched_picard_check_matches_the_scalar_route():
     assert ratio > 0.0
     assert result.data["gap"] == gap
     assert result.data["ratio"] == ratio
+
+
+def test_verify_cli_refuses_a_nonzero_t0(tmp_path, capsys):
+    # the battery runs from t0 = 0; before, it printed five PASS lines for
+    # this config and exited 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"t0": 3.0, "paths": 40, "horizon": 1.0, "workers": 1}))
+    assert run_main("verify", "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: t0: verify runs its checks from t0 = 0\n"
+    assert captured.out == ""
 
 
 def test_verify_cli_requires_oscillator():

@@ -1,9 +1,10 @@
-"""Source hygiene: every imported name is read, and ``stochmech.cli`` loads
-no process-pool machinery until a pool starts, nor the oracle modules until
-``verify`` runs."""
+"""Source hygiene: every imported name is read, every ``ConfigError`` message
+names its field, and ``stochmech.cli`` loads no process-pool machinery until a
+pool starts, nor the oracle modules until ``verify`` runs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,35 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert unused_imports(path) == []
+
+
+def config_error_messages(path: Path) -> list:
+    """The message of each ``ConfigError(...)`` call in ``path`` that is a
+    string literal or an f-string, an f-string's plain ``{name}`` fields read
+    as their name and any other field (``{value!r}``, ``{a.b}``) as ``{}``."""
+    messages = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ConfigError" and node.args):
+            continue
+        message = node.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        if isinstance(message, (ast.JoinedStr, ast.Constant)):
+            messages.append("".join(
+                part.value if isinstance(part, ast.Constant)
+                else part.value.id if isinstance(part.value, ast.Name)
+                and part.conversion == -1 and part.format_spec is None else "{}"
+                for part in parts))
+    return messages
+
+
+def test_every_config_error_message_begins_with_its_field():
+    # a failure names the field to fix: "<field>: ...", checked at the source
+    # so that it holds wherever a check moves
+    messages = [m for path in SOURCES if path.parent.name == "stochmech"
+                for m in config_error_messages(path)]
+    assert messages
+    assert [m for m in messages if not re.match(r"\w+: ", m)] == []
 
 
 def test_importing_the_cli_loads_no_process_pool():

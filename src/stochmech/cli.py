@@ -37,7 +37,7 @@ from .scenarios import SCENARIO_KINDS, Scenario
 DUMP_BATCH = 1024
 # Largest --dump-paths output accepted, in table rows (about 78 bytes each).
 DUMP_ROW_LIMIT = 20_000_000
-# The one momentum reduction, x_F(t0 + T) / T; ``policy`` still names it so
+# The one momentum reduction, x_F(T) / T; ``policy`` still names it so
 # that existing configs and command lines keep working.
 POLICIES = ("ratio",)
 
@@ -64,7 +64,6 @@ class ScenarioConfig:
     paths: int = 10000
     seed: int = 42
     policy: str = "ratio"
-    t0: float = 0.0
     grid_extent: Tuple[float, float] = wf.DEFAULT_EXTENT
     grid_points: int = wf.DEFAULT_POINTS
     state_file: Optional[str] = None
@@ -91,6 +90,10 @@ class ScenarioConfig:
             if not _fits(value, hints[name]):
                 raise ConfigError(f"{name}: expected {cls.__annotations__[name]}, "
                                   f"got {value!r}")
+        if payload.get("state_file") is not None:
+            for name in ("grid_points", "grid_extent"):
+                if name in payload:
+                    raise ConfigError(f"{name}: a state file sets its own grid")
         if "grid_extent" in payload:
             payload["grid_extent"] = tuple(payload["grid_extent"])
         return cls(**payload)
@@ -136,13 +139,11 @@ class ScenarioConfig:
         return self
 
     def sim_params(self) -> sde.SimParams:
-        return sde.SimParams(nu=self.nu, dt=self.dt, horizon=self.horizon,
-                             t0=self.t0, seed=self.seed)
+        return sde.SimParams(nu=self.nu, dt=self.dt, horizon=self.horizon, seed=self.seed)
 
     def scenario_obj(self) -> Scenario:
-        return Scenario(kind=self.scenario, nu=self.nu, t0=self.t0,
-                        grid_extent=self.grid_extent, grid_points=self.grid_points,
-                        state_file=self.state_file)
+        return Scenario(kind=self.scenario, nu=self.nu, grid_extent=self.grid_extent,
+                        grid_points=self.grid_points, state_file=self.state_file)
 
     def effective_workers(self) -> int:
         """``workers``, capped at the CPUs the process may run on (its
@@ -156,6 +157,9 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
         payload["grid_extent"] = list(self.grid_extent)
+        if self.state_file is not None:
+            # the file sets the grid, and ``from_file`` refuses these beside it
+            del payload["grid_extent"], payload["grid_points"]
         return payload
 
 
@@ -319,8 +323,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args)
     if config.scenario != "oscillator-ground":
         raise ConfigError("scenario: verify requires the oscillator-ground scenario")
-    if config.t0 != 0:
-        raise ConfigError("t0: verify runs its checks from t0 = 0")
+    # the battery records x every AUTOCOV_SPACING and runs its meshes to
+    # multiples of it, so each must be a whole number of steps
+    spacing = verify.AUTOCOV_SPACING
+    steps = round(spacing / config.dt)
+    if steps < 1 or abs(steps * config.dt - spacing) > 1e-9 * spacing:
+        raise ConfigError(f"dt: verify needs {spacing:g} / dt to be a whole number")
     results = verify.run_verification(nu=config.nu, dt=config.dt,
                                       horizon=config.horizon, m=config.paths,
                                       seed=config.seed,

@@ -1,8 +1,8 @@
 """Momentum extraction from coupled paths via the long-time limit.
 
-The per-path momentum is the almost-sure limit x_F(t0 + T) / T of the free
-comparison path.  At a finite horizon it is read off as that ratio, with
-T = steps * dt, at a bias of O(1/T).
+The per-path momentum is the almost-sure limit x_F(T) / T of the free
+comparison path started at t = 0.  At a finite horizon it is read off as that
+ratio, with T = steps * dt, at a bias of O(1/T).
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ class EnsemblePlan:
             extras["weighted_integrals"] = np.concatenate(
                 [ch.weighted_integral for ch in chunks])
         if self.record_indices:
-            extras["recorded_times"] = (self.params.t0
-                                        + np.asarray(self.record_indices) * self.params.dt)
+            extras["recorded_times"] = np.asarray(self.record_indices) * self.params.dt
             extras["recorded_x"] = x[[row_of[k] for k in self.record_indices]].T
         return MomentumEnsemble(
             # steps * dt, not horizon: the two can differ in the last bit
@@ -157,16 +156,15 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
          workers: int = 1) -> EnsemblePlan:
     """The chunk jobs of ``collect`` for these arguments, not yet run; the
     chunks are ``chunk_indices(ensemble_size, workers)``.  ValueError when
-    ``params`` and ``scenario`` disagree on nu or t0."""
+    ``params`` and ``scenario`` disagree on nu."""
     if ensemble_size < 1:
         raise ValueError("ensemble size must be >= 1")
-    for name in ("nu", "t0"):
-        if getattr(params, name) != getattr(scenario, name):
-            raise ValueError(f"params.{name} = {getattr(params, name)!r} differs from "
-                             f"scenario.{name} = {getattr(scenario, name)!r}")
+    if params.nu != scenario.nu:
+        raise ValueError(f"params.nu = {params.nu!r} differs from "
+                         f"scenario.nu = {scenario.nu!r}")
     record_indices = set()
     for t in record_times or ():
-        k = round((t - params.t0) / params.dt)
+        k = round(t / params.dt)
         if not (0 <= k <= params.steps):
             raise ValueError(f"record time {t} outside the simulated range")
         record_indices.add(k)
@@ -180,11 +178,10 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
         "nu": params.nu,
         "dt": params.dt,
         "horizon": params.horizon,
-        "t0": params.t0,
         "seed": params.seed,
         "ensemble_size": ensemble_size,
         "finite_horizon_note": "momentum read off at finite horizon as "
-                               "x_F(t0 + T) / T; bias is O(1/horizon)",
+                               "x_F(T) / T; bias is O(1/horizon)",
     }
     return EnsemblePlan(jobs=jobs, params=params, rows=rows,
                         record_indices=sorted(record_indices),

@@ -1,4 +1,4 @@
-"""Named simulation scenarios: initial state, drift pair, and initial sampler.
+"""Named simulation scenarios: state at t = 0, drift pair, and initial sampler.
 
 A scenario is a small picklable value object so that worker processes can
 rebuild drift evaluators locally; everything derived from it is a pure
@@ -48,17 +48,16 @@ class GridInitialSampler:
 
 
 @functools.lru_cache(maxsize=1)
-def _read_state(path: str, time: float, mtime_ns: int, size: int) -> wf.WaveState:
+def _read_state(path: str, mtime_ns: int, size: int) -> wf.WaveState:
     """The state file at ``path``, read once per process while its
     modification time and size stay the same."""
-    return wf.read_state(path, time=time)
+    return wf.read_state(path)
 
 
 @dataclass(frozen=True)
 class Scenario:
     kind: str
     nu: float
-    t0: float = 0.0
     grid_extent: Tuple[float, float] = wf.DEFAULT_EXTENT
     grid_points: int = wf.DEFAULT_POINTS
     state_file: Optional[str] = None
@@ -71,8 +70,6 @@ class Scenario:
                               f"not {self.kind}")
         if not 0 < self.nu < math.inf:
             raise ConfigError("nu: must be positive and finite")
-        if not math.isfinite(self.t0):
-            raise ConfigError("t0: must be finite")
         if self.grid_points < 16:
             raise ConfigError("grid_points: must be >= 16")
         if self.grid_points > GRID_POINT_LIMIT:
@@ -82,17 +79,17 @@ class Scenario:
 
     def initial_state(self) -> wf.GaussianState | wf.WaveState:
         if self.kind == "oscillator-ground":
-            return wf.harmonic_ground_state(time=self.t0)
+            return wf.harmonic_ground_state()
         if self.kind == "free-gaussian":
-            return wf.free_gaussian_state(time=self.t0, t0=self.t0)
+            return wf.free_gaussian_state()
         if self.state_file is not None:
             stat = os.stat(self.state_file)
-            return _read_state(self.state_file, self.t0, stat.st_mtime_ns, stat.st_size)
-        return wf.to_grid(wf.harmonic_ground_state(time=self.t0),
+            return _read_state(self.state_file, stat.st_mtime_ns, stat.st_size)
+        return wf.to_grid(wf.harmonic_ground_state(),
                           extent=self.grid_extent, points=self.grid_points)
 
     def drift_fields(self) -> Tuple[wf.DriftField, wf.DriftField]:
-        """(interacting, free) drift pair of the t0 state; equal for free-gaussian."""
+        """(interacting, free) drift pair of the initial state; equal for free-gaussian."""
         state = self.initial_state()
         return wf.drift(state, self.nu), wf.free_drift(state, self.nu)
 
@@ -107,7 +104,7 @@ class Scenario:
         return GridInitialSampler(x=state.grid, cdf=cdf)
 
     def target_density(self) -> wf.MomentumDensity:
-        """Quantum momentum density of the t0 state (the distribution the
+        """Quantum momentum density of the initial state (the distribution the
         extracted momentum samples must reproduce; contains no nu)."""
         return wf.momentum_density(self.initial_state(),
                                    extent=self.grid_extent, points=self.grid_points)

@@ -53,7 +53,6 @@ class SimParams:
     nu: float
     dt: float
     horizon: float
-    t0: float = 0.0
     seed: int = 0
     path_index: int = 0
 
@@ -61,8 +60,6 @@ class SimParams:
         for name in ("nu", "dt", "horizon"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be positive and finite")
-        if not math.isfinite(self.t0):
-            raise ValueError("t0: must be finite")
         if not self.horizon / self.dt <= np.iinfo(np.intp).max:
             raise ValueError(f"horizon/dt: horizon / dt must be at most "
                              f"{np.iinfo(np.intp).max} steps, the most numpy can index")
@@ -82,15 +79,15 @@ class SimParams:
         return np.sqrt(2.0 * self.nu * self.dt)
 
     def times(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Mesh times t0 + k dt of rows k = start..stop - 1; by default all
+        """Mesh times k dt of rows k = start..stop - 1; by default all
         steps + 1 rows.  A slice of the whole mesh equals the same rows built
         alone, bit for bit."""
         stop = self.steps + 1 if stop is None else stop
-        return self.t0 + np.arange(start, stop) * self.dt
+        return np.arange(start, stop) * self.dt
 
     def with_path_index(self, path_index: int) -> "SimParams":
         return SimParams(nu=self.nu, dt=self.dt, horizon=self.horizon,
-                         t0=self.t0, seed=self.seed, path_index=path_index)
+                         seed=self.seed, path_index=path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,7 @@ def wiener_increments(params: SimParams) -> np.ndarray:
 
 def initial_positions(seed: int, path_indices, sampler: Callable) -> np.ndarray:
     """Initial positions of the paths ``path_indices``: ``sampler`` (the
-    scenario's t0 density) takes the paths' (seed, i, STREAM_INITIAL)
+    scenario's density at t = 0) takes the paths' (seed, i, STREAM_INITIAL)
     generators, in order, and draws path i's position from its own."""
     return sampler(path_rngs(seed, path_indices, STREAM_INITIAL))
 
@@ -332,7 +329,7 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
                  tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER):
     """Fixed-point construction of the free path from the integral relation
 
-        x_F(t) = x(t) + int_{t0}^{t} [b_F(x_F, s) - b(x, s)] ds
+        x_F(t) = x(t) + int_0^t [b_F(x_F, s) - b(x, s)] ds
 
     iterated from x_F = x, with the integral discretized on the path mesh by
     the left-endpoint rule.  That rule has the co-integration recursion as

@@ -79,7 +79,7 @@ def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
         x = sde.integrate_batch(interacting, x_last, params, dw, start)
         xf = sde.co_integrate_batch(free, xf_last, params, dw, start)
         cf, carry = oscillator.coupled_path_closed_form(
-            params.times(start, start + len(x)), x, scenario, carry)
+            params.times(start, start + len(x)), x, nu, carry)
         # copies of the last rows, so the block's arrays are freed before the next
         state[params] = (x[-1].copy(), xf[-1].copy(), carry,
                          np.maximum(sup, np.max(np.abs(xf - cf), axis=0)))
@@ -148,12 +148,11 @@ def check_autocovariance(ensemble: momentum.MomentumEnsemble) -> CheckResult:
 
     ``ensemble`` is collected as ``_autocov_request`` asks.
     """
-    scenario = _oscillator(ensemble.provenance["nu"])
     points = stats.autocovariance(ensemble.extras["recorded_x"], dt=AUTOCOV_SPACING,
                                   lags=AUTOCOV_LAGS)
     worst_sigma = 0.0
     for pt in points:
-        target = float(oscillator.ou_covariance(0.0, pt.lag, scenario))
+        target = float(oscillator.ou_covariance(0.0, pt.lag, ensemble.provenance["nu"]))
         worst_sigma = max(worst_sigma, abs(pt.estimate - target) / pt.stderr)
     passed = bool(worst_sigma <= 5.0)
     detail = f"max |estimate - target| = {worst_sigma:.2f} standard errors over lags {AUTOCOV_LAGS}"
@@ -173,7 +172,7 @@ def check_momentum_consistency(ensemble: momentum.MomentumEnsemble) -> CheckResu
     """
     run = ensemble.provenance
     diffs = np.abs(ensemble.extras["weighted_integrals"] - ensemble.values)
-    bound = oscillator.difference_bound(run["horizon"], _oscillator(run["nu"]), run["dt"])
+    bound = oscillator.difference_bound(run["horizon"], run["nu"], run["dt"])
     frac = float(np.mean(diffs <= bound))
     passed = bool(frac >= 0.99)
     detail = (f"{100.0 * frac:.2f}% of paths within bound {bound:.4f} "
@@ -192,7 +191,7 @@ def check_nu_invariance(base_ensemble: momentum.MomentumEnsemble,
     ensemble's nu, horizon T and step, (1 + 1/T^2) / 2 as the step vanishes.
     """
     base_nu, dt, horizon = (base_ensemble.provenance[k] for k in ("nu", "dt", "horizon"))
-    target = oscillator.euler_covariance(horizon, _oscillator(base_nu), dt)[2, 2] / horizon ** 2
+    target = oscillator.euler_covariance(horizon, base_nu, dt)[2, 2] / horizon ** 2
     band = 3.0 * target * math.sqrt(2.0 / len(base_ensemble))
     results = {base_nu: base_ensemble.values}
     results.update({nu: ensemble.values for nu, ensemble in nu_ensembles.items()})
@@ -222,8 +221,8 @@ def run_verification(nu: float = 0.5, dt: float = 1e-3, horizon: float = 50.0,
     """
     scenario = _oscillator(nu)
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    weights = oscillator.momentum_quadrature_weights(params.times(), scenario)
-    nu_values = (0.25, 1.0)
+    weights = oscillator.momentum_quadrature_weights(params.times(), nu)
+    nu_values = (0.5 * nu, 2.0 * nu)
     plans = [
         # the weighted base ensemble serves both consistency and nu invariance
         momentum.plan(scenario, params, m, time_weights=weights),

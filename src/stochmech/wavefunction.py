@@ -38,21 +38,20 @@ DEFAULT_POINTS = 4096
 @dataclass(frozen=True)
 class GaussianState:
     """The unit-norm Gaussian psi = exp(R + i S) that is the ground state of
-    V = x^2/2 at ``t0``; ``time`` is the state's own time.
+    V = x^2/2 at t = 0; ``time`` is the state's own time.
 
-    Held (``spreading`` false) it stays that ground state.  Spreading, it
-    solves the free equation from it; with tau = t - t0,
+    Held (``spreading`` false) it stays that ground state, with tau = 0
+    below.  Spreading, it solves the free equation from it, with tau = t:
 
         R = -x^2 / (2 (1 + tau^2)) - log(pi)/4 - log(1 + tau^2)/4,
         S = x^2 tau / (2 (1 + tau^2)) - atan(tau)/2.
     """
 
     time: float
-    t0: float
     spreading: bool = False
 
     def _tau(self, t):
-        return t - self.t0 if self.spreading else 0.0
+        return t if self.spreading else 0.0
 
     def log_amp(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -105,14 +104,15 @@ class WaveState:
         return float(self.grid[1] - self.grid[0])
 
 
-def harmonic_ground_state(time=0.0) -> GaussianState:
-    """Ground state of V = x^2/2; drift is -2 nu x, independent of time."""
-    return GaussianState(time=float(time), t0=float(time))
+def harmonic_ground_state() -> GaussianState:
+    """Ground state of V = x^2/2 at t = 0; drift is -2 nu x, independent of time."""
+    return GaussianState(time=0.0)
 
 
-def free_gaussian_state(time=0.0, t0=0.0) -> GaussianState:
-    """Freely spreading Gaussian whose profile at t0 matches the oscillator ground state."""
-    return GaussianState(time=float(time), t0=float(t0), spreading=True)
+def free_gaussian_state(time=0.0) -> GaussianState:
+    """Freely spreading Gaussian at ``time``, whose profile at t = 0 matches
+    the oscillator ground state."""
+    return GaussianState(time=float(time), spreading=True)
 
 
 def to_grid(state: GaussianState | WaveState,
@@ -162,18 +162,16 @@ def _unwrap_from(angles: np.ndarray, center: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GaussianDrift:
     """Drift of a :class:`GaussianState`: -2 nu x held; spreading,
-    -x (2 nu - tau) / (1 + tau^2) with tau = t - t0, where t may be an array."""
+    -x (2 nu - t) / (1 + t^2), where t may be an array."""
 
     nu: float
-    t0: float
     spreading: bool
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         if not self.spreading:
             return 2.0 * self.nu * -x
-        tau = t - self.t0
-        return 2.0 * self.nu * (-x / (1.0 + tau * tau)) + x * (tau / (1.0 + tau * tau))
+        return 2.0 * self.nu * (-x / (1.0 + t * t)) + x * (t / (1.0 + t * t))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,8 @@ class GridInterpEvaluator:
 
 
 class FreeGridDriftEvaluator:
-    """Free drift b_F(x, t) for an arbitrary grid initial state.
+    """Free drift b_F(x, t) for an arbitrary grid state, taken as the state
+    at t = 0.
 
     :meth:`state` propagates the initial spectrum to the requested time
     (exact spectral free evolution), and :func:`drift` turns that state into
@@ -223,15 +222,14 @@ class FreeGridDriftEvaluator:
     def __init__(self, state: GaussianState | WaveState, nu: float):
         grid_state = to_grid(state)
         self.nu = float(nu)
-        self.t0 = float(grid_state.time)
         self.x = grid_state.grid
         self.spectrum = np.fft.fft(grid_state.amplitude)
         self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=grid_state.spacing)) ** 2
         self._cache = {}
 
     def state(self, t: float) -> WaveState:
-        """The initial state freely evolved to absolute time t: each Fourier
-        mode picks up exp(-i k^2 (t - t0) / 2), exactly norm preserving and
+        """The initial state freely evolved to time t: each Fourier
+        mode picks up exp(-i k^2 t / 2), exactly norm preserving and
         time reversible.  Warns (GridTooNarrowWarning, one constant message,
         so Python's default filter shows it once per process) when the
         amplitude at either grid edge exceeds BOUNDARY_AMPLITUDE of its peak:
@@ -240,7 +238,7 @@ class FreeGridDriftEvaluator:
         # k2[n - j] == k2[j] exactly (fftfreq negates j * val), so the factor
         # is evaluated over modes 0..n // 2 and mirrored onto the rest
         n = len(self.k2)
-        half = np.exp(-0.5j * self.k2[:n // 2 + 1] * (t - self.t0))
+        half = np.exp(-0.5j * self.k2[:n // 2 + 1] * t)
         phase = np.concatenate((half, half[1:(n + 1) // 2][::-1]))
         psi = np.fft.ifft(self.spectrum * phase)
         mags = np.abs(psi)
@@ -293,7 +291,7 @@ def drift(state: GaussianState | WaveState, nu: float) -> DriftField:
     (FreeGridDriftEvaluator).
     """
     if isinstance(state, GaussianState):
-        return DriftField(GaussianDrift(nu, state.t0, state.spreading))
+        return DriftField(GaussianDrift(nu, state.spreading))
     amps = state.amplitude
     mags = np.abs(amps)
     lo, hi = _support_bounds(mags)
@@ -311,9 +309,9 @@ def drift(state: GaussianState | WaveState, nu: float) -> DriftField:
 
 def free_drift(state: GaussianState | WaveState, nu: float) -> DriftField:
     """Drift of ``state`` evolving freely: for a Gaussian state, the same
-    state spreading from its ``t0``; for a grid state, spectral propagation."""
+    state spreading from t = 0; for a grid state, spectral propagation."""
     if isinstance(state, GaussianState):
-        return drift(GaussianState(state.time, state.t0, spreading=True), nu)
+        return drift(GaussianState(state.time, spreading=True), nu)
     return free_drift_field_from_grid(state, nu)
 
 
@@ -347,7 +345,7 @@ class MomentumDensity:
 
 def momentum_density(initial: GaussianState | WaveState,
                      extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> MomentumDensity:
-    """Momentum density of the t0 state via the discrete Fourier transform.
+    """Momentum density of ``initial`` via the discrete Fourier transform.
 
     psi_hat(P) = integral exp(-i P x) psi(x) dx approximated as h times the
     DFT; zero padding to four times the grid length refines the P resolution
@@ -385,9 +383,9 @@ def write_state(state: GaussianState | WaveState, path) -> None:
     })
 
 
-def read_state(path, time=0.0) -> WaveState:
+def read_state(path) -> WaveState:
     cols = tableio.read_table(path)
-    return WaveState.from_grid(cols["x"], cols["re_psi"] + 1j * cols["im_psi"], time=time)
+    return WaveState.from_grid(cols["x"], cols["re_psi"] + 1j * cols["im_psi"])
 
 
 def write_density(density: MomentumDensity, path) -> None:

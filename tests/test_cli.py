@@ -68,7 +68,7 @@ def test_config_rejects_bad_fields(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("nu", math.nan), ("nu", math.inf), ("nu", 0.0), ("nu", -1.0), ("t0", math.inf),
+    ("nu", math.nan), ("nu", math.inf), ("nu", 0.0), ("nu", -1.0), ("nu", -math.inf),
     ("grid_points", 15), ("grid_points", 2 ** 20 + 1), ("grid_extent", (1.0, 1.0)),
 ])
 def test_scenario_checks_its_own_fields(field, value):
@@ -173,7 +173,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
     ({"nu": "0.5"}, "nu"),
-    ({"t0": float("nan")}, "t0"),
+    ({"horizon": float("nan")}, "horizon"),
     ({"dump_paths": "yes"}, "dump_paths"),
     ({"state_file": 3}, "state_file"),
 ])
@@ -192,11 +192,27 @@ def test_config_file_values_are_type_checked(tmp_path, capsys, payload, field):
 
 
 def test_config_file_accepts_its_own_echo(tmp_path):
-    # the manifest's config echo, null workers included, reads back as is
-    config = cli.ScenarioConfig(grid_extent=(-10, 10.5), state_file=None, workers=None)
+    # the manifest's config echo, null workers included, reads back as is;
+    # with a state file it leaves out the grid the file sets
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config.to_dict()))
-    assert cli.ScenarioConfig.from_file(cfg_path) == config
+    for config in (cli.ScenarioConfig(grid_extent=(-10, 10.5), state_file=None, workers=None),
+                   cli.ScenarioConfig(scenario="grid-custom", state_file="state.tsv")):
+        cfg_path.write_text(json.dumps(config.to_dict()))
+        assert cli.ScenarioConfig.from_file(cfg_path) == config
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "density"])
+def test_a_config_naming_t0_is_refused(tmp_path, capsys, command):
+    # every run starts at t = 0; t0 is no config field
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"t0": 0.0, "paths": 10, "horizon": 0.1, "workers": 1,
+                                    "out": str(out)}))
+    assert run_main(command, "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: config: unknown fields ['t0']\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _state_table(x, re_psi, im_psi=None):
@@ -671,8 +687,7 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
     for params, incs in ((fine, dw), (coarse, dw[0::2] + dw[1::2])):
         x = sde.integrate_batch(interacting, x0, params, incs)
         xf = sde.co_integrate_batch(free, x0, params, incs)
-        cf, _ = oscillator.coupled_path_closed_form(
-            params.times(), x, scenario)
+        cf, _ = oscillator.coupled_path_closed_form(params.times(), x, nu)
         devs[params.dt] = float(np.mean(np.max(np.abs(xf - cf), axis=0)))
     return devs
 
@@ -707,9 +722,9 @@ def test_closed_form_check_holds_one_mesh_at_a_time():
 
 
 def test_verify_negative_control_flipped_gamma(monkeypatch):
-    def tampered(t, scen):
-        tau = np.asarray(t, dtype=float) - scen.t0
-        return -2.0 * scen.nu * np.arctan(tau) - 0.5 * np.log1p(tau * tau)
+    def tampered(t, nu):
+        t = np.asarray(t, dtype=float)
+        return -2.0 * nu * np.arctan(t) - 0.5 * np.log1p(t * t)
 
     good = verify.check_coupled_closed_form(n_paths=10, seed=7)
     monkeypatch.setattr(oscillator, "gamma", tampered)
@@ -728,8 +743,7 @@ def test_nu_invariance_band_is_centred_on_the_finite_horizon_variance(variance, 
     # at T = 1, Var(P) of the Euler scheme is 0.9997, not the T -> inf value 1/2
     horizon = 1.0
     if variance == "euler":
-        variance = oscillator.euler_covariance(
-            horizon, Scenario(kind="oscillator-ground", nu=0.5), 1e-3)[2, 2] / horizon ** 2
+        variance = oscillator.euler_covariance(horizon, 0.5, 1e-3)[2, 2] / horizon ** 2
     z = np.random.default_rng(3).standard_normal(1000)
     values = math.sqrt(variance) * (z - z.mean()) / z.std(ddof=1)
     others = {nu: _momentum_ensemble(values.copy(), horizon) for nu in (0.25, 1.0)}
@@ -769,19 +783,30 @@ def test_batched_picard_check_matches_the_scalar_route():
     assert result.data["ratio"] == ratio
 
 
-def test_verify_cli_refuses_a_nonzero_t0(tmp_path, capsys):
-    # the battery runs from t0 = 0; before, it printed five PASS lines for
-    # this config and exited 0
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"t0": 3.0, "paths": 40, "horizon": 1.0, "workers": 1}))
-    assert run_main("verify", "--config", str(cfg_path)) == 2
+def test_verify_cli_requires_oscillator():
+    assert run_main("verify", "--scenario", "free-gaussian") == 2
+
+
+@pytest.mark.parametrize("dt, horizon", [("0.003", "0.9"), ("0.4", "2.0"), ("0.2", "2.0")])
+def test_verify_cli_refuses_a_dt_off_its_record_spacing(capsys, dt, horizon):
+    # the battery records x every 0.5; before, the first two ended in a
+    # traceback and 0.2 moved the record times onto the mesh without a word
+    code = run_main("verify", "--dt", dt, "--horizon", horizon, "--paths", "20",
+                    "--workers", "1")
+    assert code == 2
     captured = capsys.readouterr()
-    assert captured.err == "configuration error: t0: verify runs its checks from t0 = 0\n"
+    assert captured.err == "configuration error: dt: verify needs 0.5 / dt to be a whole number\n"
     assert captured.out == ""
 
 
-def test_verify_cli_requires_oscillator():
-    assert run_main("verify", "--scenario", "free-gaussian") == 2
+def test_verify_cli_nu_invariance_compares_three_distinct_nu(capsys):
+    # the variants are at nu / 2 and 2 nu; before, --nu 0.25 replaced the
+    # base ensemble by its 0.25 variant and compared two ensembles
+    assert run_main("verify", "--nu", "0.25", "--paths", "40", "--horizon", "1",
+                    "--workers", "1") == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("PASS nu invariance: Var(P) by nu: 0.125: "), line
+    assert ", 0.25: " in line and ", 0.5: " in line and "KS p: 0.125: " in line, line
 
 
 def test_verify_cli_small(capsys):
@@ -839,6 +864,23 @@ def test_state_file_of_an_analytic_scenario_is_a_config_error(tmp_path, capsys, 
         Scenario(kind=scenario, nu=0.5, state_file="s.tsv")
 
 
+@pytest.mark.parametrize("field, value", [("grid_points", 64), ("grid_extent", [-1.0, 1.0])])
+def test_state_file_beside_a_grid_field_is_a_config_error(tmp_path, capsys, field, value):
+    # before, the run used the file's grid and the manifest echoed this one
+    state_path = tmp_path / "state.tsv"
+    state_path.write_text(_state_table(GRID, PSI))
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"scenario": "grid-custom", "state_file": str(state_path),
+                                    field: value, "paths": 10, "horizon": 0.1,
+                                    "workers": 1, "out": str(out)}))
+    assert run_main("run", "--config", str(cfg_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {field}: a state file sets its own grid\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_grid_custom_run_reads_its_state_file_once(tmp_path, monkeypatch):
     from stochmech import wavefunction as wf
     state_path = tmp_path / "state.tsv"
@@ -846,7 +888,7 @@ def test_grid_custom_run_reads_its_state_file_once(tmp_path, monkeypatch):
                    state_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
-        "scenario": "grid-custom", "state_file": str(state_path), "grid_points": 512,
+        "scenario": "grid-custom", "state_file": str(state_path),
         "paths": 10, "horizon": 0.2, "workers": 1, "out": str(tmp_path / "runs"),
     }))
     reads = []

@@ -1,4 +1,4 @@
-"""Momentum extraction, P = x_F(t0 + T) / T, and ensemble collection."""
+"""Momentum extraction, P = x_F(T) / T, and ensemble collection."""
 
 import dataclasses
 import functools
@@ -72,7 +72,7 @@ def test_collect_requires_positive_ensemble():
         momentum.collect(OSC, params, 0)
 
 
-@pytest.mark.parametrize("field, value", [("nu", 2.0), ("t0", 0.5)])
+@pytest.mark.parametrize("field, value", [("nu", 2.0)])
 def test_plan_refuses_params_that_disagree_with_the_scenario(field, value):
     # the drift would follow the scenario and the provenance the params
     params = dataclasses.replace(sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=1),
@@ -384,18 +384,17 @@ def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["oscillator-ground", "free-gaussian", "grid-custom"])
 def test_scenario_builds_its_fields_and_sampler_from_its_t0_state(kind):
-    scenario = Scenario(kind=kind, nu=0.5, t0=0.3, grid_points=256)
+    scenario = Scenario(kind=kind, nu=0.5, grid_points=256)
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
     if kind == "grid-custom":
         assert isinstance(interacting.evaluator, wf.GridInterpEvaluator)
         assert isinstance(free.evaluator, wf.FreeGridDriftEvaluator)
-        assert free.evaluator.t0 == 0.3
         assert isinstance(sampler, GridInitialSampler)
     else:
         held = kind == "oscillator-ground"
-        assert interacting.evaluator == wf.GaussianDrift(nu=0.5, t0=0.3, spreading=not held)
-        assert free.evaluator == wf.GaussianDrift(nu=0.5, t0=0.3, spreading=True)
+        assert interacting.evaluator == wf.GaussianDrift(nu=0.5, spreading=not held)
+        assert free.evaluator == wf.GaussianDrift(nu=0.5, spreading=True)
         assert sampler == GaussianInitialSampler(sigma=math.sqrt(0.5))
 
 

@@ -11,7 +11,7 @@ from stochmech import sde
 from stochmech import wavefunction as wf
 from stochmech.scenarios import Scenario
 
-SCEN = Scenario(kind="oscillator-ground", nu=0.5, t0=0.0)
+NU = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -19,43 +19,41 @@ SCEN = Scenario(kind="oscillator-ground", nu=0.5, t0=0.0)
 # ---------------------------------------------------------------------------
 
 def test_gamma_vanishes_at_start():
-    assert osc.gamma(0.0, SCEN) == 0.0
-    scen2 = Scenario(kind="oscillator-ground", nu=0.25, t0=1.5)
-    assert osc.gamma(1.5, scen2) == 0.0
+    assert osc.gamma(0.0, NU) == 0.0
+    assert osc.gamma(0.0, 0.25) == 0.0
 
 
 def test_gamma_closed_form_value():
     # tau = 1, nu = 1/2: pi/4 - ln(2)/2
     expected = math.pi / 4.0 - 0.5 * math.log(2.0)
-    assert osc.gamma(1.0, SCEN) == pytest.approx(expected, abs=1e-14)
+    assert osc.gamma(1.0, NU) == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("t", [0.3, 1.0, 4.0, 20.0])
 def test_gamma_matches_quadrature_of_rate(nu, t):
-    scen = Scenario(kind="oscillator-ground", nu=nu)
     value, err = scipy_integrate.quad(
         lambda s: (2.0 * nu - s) / (1.0 + s * s), 0.0, t, limit=200)
-    assert abs(osc.gamma(t, scen) - value) < 1e-10 + 10.0 * err
+    assert abs(osc.gamma(t, nu) - value) < 1e-10 + 10.0 * err
 
 
 def test_gamma_asymptote():
     # gamma -> nu pi - ln(1 + tau^2)/2 as tau grows
     tau = 1e6
-    expected = 2.0 * SCEN.nu * (math.pi / 2.0) - 0.5 * math.log1p(tau * tau)
-    assert abs(osc.gamma(tau, SCEN) - expected) < 2e-6
+    expected = 2.0 * NU * (math.pi / 2.0) - 0.5 * math.log1p(tau * tau)
+    assert abs(osc.gamma(tau, NU) - expected) < 2e-6
 
 
 # ---------------------------------------------------------------------------
 # drift pair of the scenario (the wavefunction route the integrators use)
 # ---------------------------------------------------------------------------
 
-INTERACTING, FREE = Scenario(kind="oscillator-ground", nu=SCEN.nu).drift_fields()
+INTERACTING, FREE = Scenario(kind="oscillator-ground", nu=NU).drift_fields()
 
 
 def test_free_drift_coincides_with_interacting_drift_at_start():
     x = np.linspace(-3.0, 3.0, 13)
-    assert np.allclose(FREE(x, 0.0), -2.0 * SCEN.nu * x, atol=1e-14)
+    assert np.allclose(FREE(x, 0.0), -2.0 * NU * x, atol=1e-14)
     assert np.allclose(FREE(x, 0.0), INTERACTING(x, 0.0), atol=1e-14)
 
 
@@ -63,30 +61,30 @@ def test_free_drift_zero_at_origin_and_at_balanced_time():
     assert FREE(0.0, 3.7) == 0.0
     # numerator 2 nu - tau vanishes at tau = 2 nu
     x = np.linspace(-5.0, 5.0, 11)
-    assert np.allclose(FREE(x, 2.0 * SCEN.nu), 0.0, atol=1e-14)
+    assert np.allclose(FREE(x, 2.0 * NU), 0.0, atol=1e-14)
 
 
 def test_ground_drift_matches_wavefunction_route():
     # -2 nu x at every time: the ground state is stationary
     x = np.linspace(-4.0, 4.0, 17)
     for t in (0.0, 1.3, 40.0):
-        assert np.allclose(INTERACTING(x, t), -2.0 * SCEN.nu * x, atol=1e-14)
+        assert np.allclose(INTERACTING(x, t), -2.0 * NU * x, atol=1e-14)
 
 
 def test_free_drift_matches_wavefunction_route():
     # the spreading Gaussian's drift is -x times the integrating-factor rate
     x = np.linspace(-4.0, 4.0, 17)
     for t in (0.0, 0.8, 2.5, 10.0):
-        assert np.allclose(FREE(x, t), -x * osc.gamma_rate(t, SCEN), atol=1e-12)
+        assert np.allclose(FREE(x, t), -x * osc.gamma_rate(t, NU), atol=1e-12)
 
 
 def test_free_drift_matches_finite_difference_of_fields():
-    state = wf.free_gaussian_state(time=2.2, t0=0.0)
+    state = wf.free_gaussian_state(time=2.2)
     x = np.linspace(-3.0, 3.0, 21)
     h = 1e-6
     dr = (state.log_amp(x + h, 2.2) - state.log_amp(x - h, 2.2)) / (2.0 * h)
     ds = (state.phase(x + h, 2.2) - state.phase(x - h, 2.2)) / (2.0 * h)
-    expected = 2.0 * SCEN.nu * dr + ds
+    expected = 2.0 * NU * dr + ds
     assert np.max(np.abs(FREE(x, 2.2) - expected)) < 1e-8
 
 
@@ -104,24 +102,24 @@ def test_closed_form_trivial_cases():
     zeros = np.zeros(params.steps)
     field = wf.drift(wf.harmonic_ground_state(), params.nu)
     path = sde.integrate(field, 0.0, params, increments=zeros)
-    xf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)[0]
+    xf = osc.coupled_path_closed_form(path.times, path.positions, NU)[0]
     assert np.allclose(xf, 0.0, atol=1e-15)
     path2 = _simulate_base(params, x0=0.8)
-    xf2 = osc.coupled_path_closed_form(path2.times, path2.positions, SCEN)[0]
+    xf2 = osc.coupled_path_closed_form(path2.times, path2.positions, NU)[0]
     assert xf2[0] == pytest.approx(0.8, abs=1e-14)
 
 
 def test_closed_form_agrees_with_co_integration_at_order_dt():
-    interacting = wf.drift(wf.harmonic_ground_state(), SCEN.nu)
-    free = wf.drift(wf.free_gaussian_state(time=0.0, t0=0.0), SCEN.nu)
+    interacting = wf.drift(wf.harmonic_ground_state(), NU)
+    free = wf.drift(wf.free_gaussian_state(), NU)
     devs = {}
     for dt in (2e-3, 1e-3):
-        params = sde.SimParams(nu=SCEN.nu, dt=dt, horizon=5.0, seed=71)
+        params = sde.SimParams(nu=NU, dt=dt, horizon=5.0, seed=71)
         per_path = []
         for index in range(10):
             path = _simulate_base(params.with_path_index(index))
             pair = sde.co_integrate((interacting, free), path)
-            cf = osc.coupled_path_closed_form(path.times, path.positions, SCEN)[0]
+            cf = osc.coupled_path_closed_form(path.times, path.positions, NU)[0]
             per_path.append(np.max(np.abs(pair.free_positions - cf)))
         devs[dt] = np.mean(per_path)
     c_coarse = devs[2e-3] / 2e-3
@@ -131,12 +129,12 @@ def test_closed_form_agrees_with_co_integration_at_order_dt():
 
 
 def test_closed_form_matrix_matches_per_path():
-    params = sde.SimParams(nu=SCEN.nu, dt=1e-3, horizon=2.0, seed=77)
+    params = sde.SimParams(nu=NU, dt=1e-3, horizon=2.0, seed=77)
     paths = [_simulate_base(params.with_path_index(i), x0=0.1 * i) for i in range(4)]
     matrix = np.stack([p.positions for p in paths], axis=1)
-    combined = osc.coupled_path_closed_form(params.times(), matrix, SCEN)[0]
+    combined = osc.coupled_path_closed_form(params.times(), matrix, NU)[0]
     for i, p in enumerate(paths):
-        single = osc.coupled_path_closed_form(p.times, p.positions, SCEN)[0]
+        single = osc.coupled_path_closed_form(p.times, p.positions, NU)[0]
         assert np.allclose(combined[:, i], single, atol=1e-14)
 
 
@@ -145,14 +143,13 @@ def test_closed_form_matrix_matches_per_path():
 def test_closed_form_in_row_blocks_equals_one_call_bitwise(shape, rows):
     # blocks share their edge rows; the carry heads each block's cumulative
     # sums, so every row is that of the whole-mesh call to the last bit
-    scen = Scenario(kind="oscillator-ground", nu=0.75, t0=0.3)
-    times = 0.3 + 1e-3 * np.arange(shape[0])
+    times = 1e-3 * np.arange(shape[0])
     x = 0.1 * np.random.default_rng(rows).standard_normal(shape).cumsum(axis=0)
-    whole, whole_carry = osc.coupled_path_closed_form(times, x, scen)
+    whole, whole_carry = osc.coupled_path_closed_form(times, x, 0.75)
     blocks, carry = [], None
     for k in range(0, len(times) - 1, rows):
         rows_k = slice(k, min(k + rows, len(times) - 1) + 1)
-        xf, carry = osc.coupled_path_closed_form(times[rows_k], x[rows_k], scen, carry)
+        xf, carry = osc.coupled_path_closed_form(times[rows_k], x[rows_k], 0.75, carry)
         blocks.append(xf if k == 0 else xf[1:])
     assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
     assert np.array_equal(carry.view(np.int64), whole_carry.view(np.int64))
@@ -164,67 +161,65 @@ def test_closed_form_in_row_blocks_equals_one_call_bitwise(shape, rows):
 
 def test_integral_variance_against_brute_force_double_quadrature():
     # the continuous-time variance; the scheme's differs by O(dt) (3e-5 at dt 1e-3)
-    scen = Scenario(kind="oscillator-ground", nu=0.5)
+    nu = 0.5
     horizon = 5.0
 
     def weight(t):
-        g = 2.0 * scen.nu * math.atan(t) - 0.5 * math.log1p(t * t)
-        gp = (2.0 * scen.nu - t) / (1.0 + t * t)
-        return math.exp(g) * (2.0 * scen.nu - gp)
+        g = 2.0 * nu * math.atan(t) - 0.5 * math.log1p(t * t)
+        gp = (2.0 * nu - t) / (1.0 + t * t)
+        return math.exp(g) * (2.0 * nu - gp)
 
     brute, err = scipy_integrate.dblquad(
-        lambda s, t: weight(t) * weight(s) * 0.5 * math.exp(-2.0 * scen.nu * abs(t - s)),
+        lambda s, t: weight(t) * weight(s) * 0.5 * math.exp(-2.0 * nu * abs(t - s)),
         0.0, horizon, 0.0, horizon, epsabs=1e-10)
-    brute *= math.exp(-2.0 * scen.nu * math.pi)
-    assert osc.euler_covariance(horizon, scen, 1e-4)[0, 0] == pytest.approx(brute, abs=1e-5)
+    brute *= math.exp(-2.0 * nu * math.pi)
+    assert osc.euler_covariance(horizon, nu, 1e-4)[0, 0] == pytest.approx(brute, abs=1e-5)
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
 def test_momentum_variance_approaches_one_half(nu):
     # E(P^2) = 1/2 for every nu; the truncated integral sits at 1/2 - 2 nu / T
-    scen = Scenario(kind="oscillator-ground", nu=nu)
     horizon = 200.0
-    value = osc.euler_covariance(horizon, scen, 1e-3)[0, 0] + 2.0 * nu / horizon
+    value = osc.euler_covariance(horizon, nu, 1e-3)[0, 0] + 2.0 * nu / horizon
     assert value == pytest.approx(0.5, abs=2e-3)
 
 
 def test_estimator_second_moments_frozen_values():
     # frozen from an independent quadrature of the same Gaussian functionals
-    cov = osc.euler_covariance(50.0, SCEN, 1e-3)
+    cov = osc.euler_covariance(50.0, NU, 1e-3)
     assert cov[0, 0] == pytest.approx(0.47981, abs=2e-4)
     assert cov[2, 2] / 50.0 ** 2 == pytest.approx(0.50021, abs=2e-4)
-    assert osc.difference_bound(50.0, SCEN, 1e-3) / 3.0 == pytest.approx(0.0202, abs=1e-3)
+    assert osc.difference_bound(50.0, NU, 1e-3) / 3.0 == pytest.approx(0.0202, abs=1e-3)
 
 
-@pytest.mark.parametrize("nu, horizon, dt, t0", [
-    (0.5, 2.0, 0.01, 0.0), (0.25, 3.0, 0.02, 1.5), (1.0, 1.2, 0.6, 0.0)])
-def test_euler_covariance_matches_the_forward_recursion(nu, horizon, dt, t0):
+@pytest.mark.parametrize("nu, horizon, dt", [(0.5, 2.0, 0.01), (0.25, 3.0, 0.02),
+                                              (1.0, 1.2, 0.6)])
+def test_euler_covariance_matches_the_forward_recursion(nu, horizon, dt):
     # step the covariance of the state (x, x_F, quadrature) the way the kernel
     # steps the state; the last case has 2 nu dt > 1
-    scen = Scenario(kind="oscillator-ground", nu=nu, t0=t0)
     steps = round(horizon / dt)
-    t = t0 + dt * np.arange(steps + 1)
-    c = dt * osc.momentum_quadrature_weights(t, scen)
+    t = dt * np.arange(steps + 1)
+    c = dt * osc.momentum_quadrature_weights(t, nu)
     c[[0, -1]] *= 0.5
     cov = np.zeros((3, 3))
     cov[:2, :2] = 0.5
     noise = np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
     for k in range(steps + 1):
         if k:
-            step = np.diag([1.0 - 2.0 * nu * dt, 1.0 - dt * osc.gamma_rate(t[k - 1], scen), 1.0])
+            step = np.diag([1.0 - 2.0 * nu * dt, 1.0 - dt * osc.gamma_rate(t[k - 1], nu), 1.0])
             cov = step @ cov @ step.T + 2.0 * nu * dt * noise
         add = np.eye(3)
         add[2, 0] = c[k]
         cov = add @ cov @ add.T
     order = [2, 0, 1]
     expected = cov[np.ix_(order, order)]
-    assert np.allclose(osc.euler_covariance(horizon, scen, dt), expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(osc.euler_covariance(horizon, nu, dt), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_momentum_variance_converges_at_order_dt():
     # Var(P) of the scheme tends to the continuous (1 + 1/T^2) / 2 like dt
     horizon = 50.0
-    gaps = [osc.euler_covariance(horizon, SCEN, dt)[2, 2] / horizon ** 2
+    gaps = [osc.euler_covariance(horizon, NU, dt)[2, 2] / horizon ** 2
             - 0.5 * (1.0 + 1.0 / horizon ** 2) for dt in (2e-3, 1e-3, 5e-4)]
     assert gaps[0] < 0.0
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.02)
@@ -241,11 +236,10 @@ def _ensemble_chunk(nu, horizon, dt, m, seed, **kwargs):
 def test_momentum_integral_variance_monte_carlo():
     # ensemble check of the truncated quadrature against its exact variance
     nu, m, horizon, dt = 0.5, 4000, 50.0, 0.01
-    scen = Scenario(kind="oscillator-ground", nu=nu)
-    weights = osc.momentum_quadrature_weights(sde.SimParams(nu, dt, horizon).times(), scen)
+    weights = osc.momentum_quadrature_weights(sde.SimParams(nu, dt, horizon).times(), nu)
     chunk = _ensemble_chunk(nu, horizon, dt, m, 404, time_weights=weights)
     sample_var = chunk.weighted_integral.var(ddof=1)
-    expected = osc.euler_covariance(horizon, scen, dt)[0, 0]
+    expected = osc.euler_covariance(horizon, nu, dt)[0, 0]
     stderr = expected * math.sqrt(2.0 / m)
     assert abs(sample_var - expected) < 4.0 * stderr
 
@@ -256,7 +250,7 @@ def test_joint_law_of_the_coupled_endpoints():
     m, horizon, dt = 4000, 5.0, 1e-3
     targets = {}
     for nu in (0.5, 0.25):
-        cov = osc.euler_covariance(horizon, Scenario(kind="oscillator-ground", nu=nu), dt)
+        cov = osc.euler_covariance(horizon, nu, dt)
         targets[nu] = cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])
     band = 4.0 * max(1.0 - r * r for r in targets.values()) / math.sqrt(m - 3)
     assert abs(targets[0.5] - targets[0.25]) > 2.0 * band
@@ -271,20 +265,7 @@ def test_joint_law_of_the_coupled_endpoints():
 # ---------------------------------------------------------------------------
 
 def test_ou_covariance_closed_form():
-    assert osc.ou_covariance(2.0, 2.0, SCEN) == 0.5
-    assert osc.ou_covariance(1.0, 2.0, SCEN) == pytest.approx(0.5 * math.exp(-1.0))
-    assert osc.ou_covariance(0.0, 200.0, SCEN) < 1e-80
+    assert osc.ou_covariance(2.0, 2.0, NU) == 0.5
+    assert osc.ou_covariance(1.0, 2.0, NU) == pytest.approx(0.5 * math.exp(-1.0))
+    assert osc.ou_covariance(0.0, 200.0, NU) < 1e-80
 
-
-def test_closed_form_with_shifted_start_time():
-    # the whole coupling is anchored at t0; nothing may assume t0 = 0
-    t0 = 1.5
-    scen = Scenario(kind="oscillator-ground", nu=0.5, t0=t0)
-    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=5.0, t0=t0, seed=83)
-    field = wf.drift(wf.harmonic_ground_state(time=t0), 0.5)
-    free = wf.drift(wf.free_gaussian_state(time=t0, t0=t0), 0.5)
-    path = sde.integrate(field, 0.3, params)
-    pair = sde.co_integrate((field, free), path)
-    cf = osc.coupled_path_closed_form(path.times, path.positions, scen)[0]
-    assert np.max(np.abs(pair.free_positions - cf)) < 0.05
-    assert osc.gamma(t0, scen) == 0.0

@@ -18,7 +18,7 @@ def oscillator_drift(nu=0.5):
 
 
 def free_drift(nu=0.5):
-    return wf.drift(wf.free_gaussian_state(time=0.0, t0=0.0), nu)
+    return wf.drift(wf.free_gaussian_state(), nu)
 
 
 def zero_field(x, t):
@@ -50,12 +50,11 @@ def test_params_validation():
     assert times[0] == 0.0 and len(times) == 50001
 
 
-@pytest.mark.parametrize("name", ["nu", "dt", "horizon", "t0"])
+@pytest.mark.parametrize("name", ["nu", "dt", "horizon"])
 def test_params_refuse_non_finite_fields(name):
-    fields = dict(nu=0.5, dt=1e-3, horizon=1.0, t0=0.0)
+    fields = dict(nu=0.5, dt=1e-3, horizon=1.0)
     for value in (math.nan, math.inf, -math.inf):
-        message = "must be finite" if name == "t0" else "must be positive and finite"
-        with pytest.raises(ValueError, match=f"^{name}: {message}$"):
+        with pytest.raises(ValueError, match=f"^{name}: must be positive and finite$"):
             sde.SimParams(**{**fields, name: value})
 
 
@@ -68,10 +67,9 @@ def test_params_refuse_more_steps_than_numpy_can_index(horizon, dt):
     assert sde.SimParams(nu=0.5, dt=1.0, horizon=2.0 ** 62).steps == 2 ** 62
 
 
-@pytest.mark.parametrize("t0, dt, horizon", [(0.0, 1e-3, 10.0), (0.3, 5e-4, 2.561),
-                                              (-1.7, 0.1, 3.0)])
-def test_mesh_rows_built_alone_equal_the_whole_mesh_bitwise(t0, dt, horizon):
-    params = sde.SimParams(nu=0.5, dt=dt, horizon=horizon, t0=t0)
+@pytest.mark.parametrize("dt, horizon", [(1e-3, 10.0), (5e-4, 2.561), (0.1, 3.0)])
+def test_mesh_rows_built_alone_equal_the_whole_mesh_bitwise(dt, horizon):
+    params = sde.SimParams(nu=0.5, dt=dt, horizon=horizon)
     whole = params.times()
     steps = params.steps
     for start, stop in [(0, 1), (0, steps + 1), (1, 2), (7, steps), (steps, steps + 1),
@@ -470,7 +468,7 @@ def test_batch_refuses_increments_that_overrun_the_mesh(integrator, start, rows)
 def test_batch_in_two_calls_equals_one_call(integrator, split):
     # the free drift reads t, so a second call must take its times from the
     # mesh at its start row
-    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, t0=0.3, seed=61)
+    params = sde.SimParams(nu=0.5, dt=1e-2, horizon=1.0, seed=61)
     rng = np.random.default_rng(split)
     dw = params.noise_scale * rng.standard_normal((params.steps, 4))
     x0 = rng.standard_normal(4)

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is read, every ``ConfigError`` message
-names its field, and ``stochmech.cli`` loads no process-pool machinery until a
-pool starts, nor the oracle modules until ``verify`` runs."""
+names its field, the oscillator closed forms import nothing from the package,
+and ``stochmech.cli`` loads no process-pool machinery until a pool starts, nor
+the oracle modules until ``verify`` runs."""
 
 import ast
 import os
@@ -40,6 +41,27 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert unused_imports(path) == []
+
+
+def imported_modules(path: Path) -> list:
+    """The module each import statement of ``path`` names, a relative one
+    with its leading dots."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_the_oscillator_closed_forms_import_only_the_standard_library_and_numpy():
+    # they are the independent ground truth the pipeline is checked against,
+    # so they must not depend on the code they check
+    modules = imported_modules(Path(stochmech.__file__).parent / "oscillator.py")
+    assert "numpy" in modules
+    assert [m for m in modules if m != "numpy"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def config_error_messages(path: Path) -> list:

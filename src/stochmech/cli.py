@@ -30,7 +30,7 @@ from .errors import ConfigError, StochmechError
 from .scenarios import SCENARIO_KINDS, Scenario
 
 # Paths that --dump-paths steps together.  A batch holds one block of BLOCK
-# rows of dW, x and x_F per path, 12 MiB at 1,024 paths, whatever the horizon.
+# rows of dW, x and x_F per path, 6 MiB at 1,024 paths, whatever the horizon.
 # Each batch rebuilds a grid state's free slices past the 512 its evaluator
 # caches, and steps its paths in one integrator call per step, so fewer,
 # larger batches cost less per path.
@@ -114,16 +114,7 @@ class ScenarioConfig:
             raise ConfigError(f"policy: {self.policy!r} is not one of {POLICIES}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
-        if self.state_file is None:
-            # the grid every scenario's momentum density is computed on; an
-            # overflowing extent is reported by the error, not by warnings
-            try:
-                with np.errstate(all="ignore"):
-                    wf.to_grid(wf.harmonic_ground_state(), self.grid_extent, self.grid_points)
-            except ValueError as err:
-                raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
-                                  f"{self.grid_points} points: {err}") from err
-        else:
+        if self.state_file is not None:
             try:
                 scenario.initial_state()
             except OSError as err:
@@ -136,6 +127,20 @@ class ScenarioConfig:
         if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
             raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
                               f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
+        return self
+
+    def check_grid(self) -> "ScenarioConfig":
+        """Refuse a default-state grid that no state can be built on: the
+        grid every scenario's momentum density is computed on, so ``run`` and
+        ``density`` check it and ``verify``, which never reads it, does not.
+        An overflowing extent is reported by the error, not by warnings."""
+        if self.state_file is None:
+            try:
+                with np.errstate(all="ignore"):
+                    wf.to_grid(wf.harmonic_ground_state(), self.grid_extent, self.grid_points)
+            except ValueError as err:
+                raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
+                                  f"{self.grid_points} points: {err}") from err
         return self
 
     def sim_params(self) -> sde.SimParams:
@@ -234,7 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     to ``<scenario>-seed<seed>-<stamp>`` only once every artifact is written,
     so a failed run leaves no run directory behind, nor the ``--out``
     directories it created."""
-    config = load_config(args)
+    config = load_config(args).check_grid()
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     name = f"{config.scenario}-seed{config.seed}-{stamp}"
     staging = _unused_path(os.path.join(config.out, f".{name}.partial"))
@@ -339,7 +344,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = load_config(args).check_grid()
     density = config.scenario_obj().target_density()
     if "out" in vars(args):
         try:

@@ -18,7 +18,8 @@ from .errors import StochmechError
 from .scenarios import Scenario
 
 DEFAULT_CHUNK = 2048
-# Largest chunk of a pooled ensemble; bounds a worker's noise buffer.
+# Largest chunk of a pooled ensemble; bounds a worker's (BLOCK x chunk) noise
+# buffer, 16 MiB at 8,192 paths.
 MAX_CHUNK = 4 * DEFAULT_CHUNK
 
 

@@ -63,8 +63,8 @@ def test_config_rejects_bad_fields(tmp_path):
                            state_file=str(tmp_path / "missing.tsv")).validate()
     for grid in DEGENERATE_GRIDS.values():
         with pytest.raises(ConfigError, match=f"^{next(iter(grid))}: "):
-            cli.ScenarioConfig(**grid).validate()
-    cli.ScenarioConfig(grid_points=scenarios.GRID_POINT_LIMIT).validate()
+            cli.ScenarioConfig(**grid).validate().check_grid()
+    cli.ScenarioConfig(grid_points=scenarios.GRID_POINT_LIMIT).validate().check_grid()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -93,6 +93,26 @@ def test_degenerate_grid_is_a_config_error(tmp_path, capsys, command, case):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "density", "verify"])
+def test_only_the_commands_that_read_the_default_grid_check_it(tmp_path, capsys, command):
+    # verify never reads the config's grid; before, it refused this one too
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps({"grid_extent": [100.0, 200.0]}))
+    code = run_main(command, "--config", str(cfg_path), "--paths", "20", "--horizon", "1",
+                    "--workers", "1", "--out", str(out))
+    captured = capsys.readouterr()
+    if command == "verify":
+        lines = captured.out.splitlines()
+        assert code == 0, captured
+        assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines), lines
+    else:
+        assert code == 2
+        assert captured.err == ("configuration error: grid_extent: [100.0, 200.0] with 4096 "
+                                "points: cannot normalize a zero amplitude\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -693,11 +713,13 @@ def _closed_form_devs_on_whole_meshes(nu, dt, horizon, n_paths, seed):
 
 
 @pytest.mark.parametrize("n_paths", [1, 7])
-@pytest.mark.parametrize("fine_steps", [200, 512, 514, 1300])
+@pytest.mark.parametrize("fine_steps", [200, sde.BLOCK, sde.BLOCK + 2, 2 * sde.BLOCK,
+                                        2 * sde.BLOCK + 2, 1300])
 def test_streamed_closed_form_check_matches_whole_meshes(fine_steps, n_paths):
-    # dt/2 meshes shorter than the 512-step block, one block, one block and a
-    # pair, and a short last block; the check holds no whole mesh
-    assert sde.BLOCK == 512
+    # dt/2 meshes shorter than one noise block, one and two blocks, each of
+    # them and a pair, and several blocks with a short last one; the check
+    # holds no whole mesh
+    assert sde.BLOCK % 2 == 0 and 200 < sde.BLOCK < 1300 and 1300 % sde.BLOCK
     dt = 1e-3
     horizon = fine_steps * 0.5 * dt
     result = verify.check_coupled_closed_form(dt=dt, horizon=horizon, n_paths=n_paths, seed=5)

@@ -371,6 +371,26 @@ def test_a_one_block_walk_holds_at_most_a_tile_of_generators():
     assert peak < buffers + 512 * 1024, (peak, buffers)
 
 
+def test_a_multi_block_walk_holds_one_block_of_noise():
+    # 5,000 paths over three blocks, the shape of a pooled oscillator-run
+    # chunk.  Beyond its noise buffer and tile the walk keeps every path's
+    # generator (about 0.75 KiB each) for the later blocks.  The ceiling holds
+    # a (256 x 5,000) buffer, 9.8 MiB, and is broken by a 512-step one
+    n = 5000
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=3 * sde.BLOCK * 1e-3, seed=42)
+    assert params.steps == 3 * sde.BLOCK
+    buffers = (sde.BLOCK * n + sde.TILE * sde.BLOCK) * 8
+    tracemalloc.start()
+    try:
+        blocks = sum(1 for _ in sde._noise_blocks(params, range(n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks == 3
+    assert peak < buffers + n * 768 + 512 * 1024, (peak, buffers)
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_block_size_does_not_change_the_ensemble(monkeypatch):
     # 5,000 steps cross the 4,096-step block boundary and nine 512-step ones
     nu = 0.5

@@ -84,14 +84,17 @@ def test_free_gaussian_drift_matches_finite_differences():
 
 def test_gaussian_drifts_keep_their_float_expressions_bit_for_bit():
     # the ensemble goldens rest on these exact expressions; t is an array of
-    # times as the Picard solver passes it
+    # times as the Picard solver passes it.  Signed zeros and infinities
+    # check that a reordered sign changes no bit, NaNs included
     nu = 0.5
-    x = np.random.default_rng(2).uniform(-6.0, 6.0, 1000)
-    t = np.linspace(0.0, 5.0, 1000)
-    held = wf.drift(wf.harmonic_ground_state(), nu)(x, t)
-    spreading = wf.drift(wf.free_gaussian_state(), nu)(x, t)
+    x = np.concatenate((np.random.default_rng(2).uniform(-6.0, 6.0, 1000),
+                        [0.0, -0.0, np.inf, -np.inf]))
+    t = np.linspace(0.0, 5.0, 1004)
+    with np.errstate(invalid="ignore"):
+        held = wf.drift(wf.harmonic_ground_state(), nu)(x, t)
+        spreading = wf.drift(wf.free_gaussian_state(), nu)(x, t)
+        expected = 2.0 * nu * (-x / (1 + t * t)) + x * (t / (1 + t * t))
     assert np.array_equal(held.view(np.int64), (2.0 * nu * -x).view(np.int64))
-    expected = 2.0 * nu * (-x / (1 + t * t)) + x * (t / (1 + t * t))
     assert np.array_equal(spreading.view(np.int64), expected.view(np.int64))
 
 

@@ -103,7 +103,7 @@ class ScenarioConfig:
             params = self.sim_params()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        scenario = self.scenario_obj()
+        self.scenario_obj()                 # a Scenario checks its own fields
         if self.paths < stats.MIN_KS_SAMPLES:
             raise ConfigError(f"paths: must be >= {stats.MIN_KS_SAMPLES}, "
                               f"the fewest samples the KS test accepts")
@@ -114,33 +114,29 @@ class ScenarioConfig:
             raise ConfigError(f"policy: {self.policy!r} is not one of {POLICIES}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers: must be >= 1")
-        if self.state_file is not None:
-            try:
-                scenario.initial_state()
-            except OSError as err:
-                raise ConfigError(f"state_file: cannot read {self.state_file!r}: "
-                                  f"{err.strerror}") from err
-            except KeyError as err:
-                raise ConfigError(f"state_file: {self.state_file!r} has no {err} column") from err
-            except ValueError as err:
-                raise ConfigError(f"state_file: {self.state_file!r}: {err}") from err
         if self.dump_paths and self.paths * (params.steps + 1) > DUMP_ROW_LIMIT:
             raise ConfigError(f"dump_paths: {self.paths} paths x {params.steps + 1} rows "
                               f"exceeds the limit of {DUMP_ROW_LIMIT} rows")
         return self
 
-    def check_grid(self) -> "ScenarioConfig":
-        """Refuse a default-state grid that no state can be built on: the
-        grid every scenario's momentum density is computed on, so ``run`` and
-        ``density`` check it and ``verify``, which never reads it, does not.
-        An overflowing extent is reported by the error, not by warnings."""
-        if self.state_file is None:
-            try:
-                with np.errstate(all="ignore"):
-                    wf.to_grid(wf.harmonic_ground_state(), self.grid_extent, self.grid_points)
-            except ValueError as err:
-                raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
-                                  f"{self.grid_points} points: {err}") from err
+    def check_state(self) -> "ScenarioConfig":
+        """Refuse a t = 0 state that cannot be put on its grid, where every
+        momentum density is computed: ``run`` and ``density`` check it, and
+        ``verify``, which never reads it, does not.  An overflowing extent is
+        reported by the error, not by warnings."""
+        try:
+            with np.errstate(all="ignore"):
+                self.scenario_obj().grid_state()
+        except OSError as err:
+            raise ConfigError(f"state_file: cannot read {self.state_file!r}: "
+                              f"{err.strerror}") from err
+        except KeyError as err:
+            raise ConfigError(f"state_file: {self.state_file!r} has no {err} column") from err
+        except ValueError as err:
+            if self.state_file is not None:
+                raise ConfigError(f"state_file: {self.state_file!r}: {err}") from err
+            raise ConfigError(f"grid_extent: {list(self.grid_extent)} with "
+                              f"{self.grid_points} points: {err}") from err
         return self
 
     def sim_params(self) -> sde.SimParams:
@@ -239,7 +235,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     to ``<scenario>-seed<seed>-<stamp>`` only once every artifact is written,
     so a failed run leaves no run directory behind, nor the ``--out``
     directories it created."""
-    config = load_config(args).check_grid()
+    config = load_config(args).check_state()
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     name = f"{config.scenario}-seed{config.seed}-{stamp}"
     staging = _unused_path(os.path.join(config.out, f".{name}.partial"))
@@ -334,17 +330,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     steps = round(spacing / config.dt)
     if steps < 1 or abs(steps * config.dt - spacing) > 1e-9 * spacing:
         raise ConfigError(f"dt: verify needs {spacing:g} / dt to be a whole number")
-    results = verify.run_verification(nu=config.nu, dt=config.dt,
-                                      horizon=config.horizon, m=config.paths,
-                                      seed=config.seed,
-                                      workers=config.effective_workers())
+    # an overflowing path fails its check, not in numpy's warnings; pool
+    # workers fork inside this context and inherit it
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = verify.run_verification(nu=config.nu, dt=config.dt,
+                                          horizon=config.horizon, m=config.paths,
+                                          seed=config.seed,
+                                          workers=config.effective_workers())
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    config = load_config(args).check_grid()
+    config = load_config(args).check_state()
     density = config.scenario_obj().target_density()
     if "out" in vars(args):
         try:

@@ -108,13 +108,13 @@ def _euler_rows(horizon: float, nu: float, dt: float) -> tuple:
     a = 1.0 - 2.0 * nu * dt
     c = dt * momentum_quadrature_weights(t, nu)
     c[[0, -1]] *= 0.5
-    # backward: S_{j-1} = c_j + a S_j is the quadrature's coefficient on dW_{j-1}
-    # (on x0 for j = 0); nothing divides by a power of a, which underflows at large T
-    quad = [float(c[-1])]
-    for cj in c[-2::-1].tolist():
-        quad.append(cj + a * quad[-1])
     rows = np.empty((3, steps + 1))
-    rows[0] = quad[::-1]
+    # backward, in place: S_{j-1} = c_j + a S_j is the quadrature's coefficient on
+    # dW_{j-1} (on x0 for j = 0); nothing divides by a power of a, which underflows at large T
+    quad = rows[0]
+    acc = quad[-1] = c.item(-1)
+    for j in range(steps - 1, -1, -1):
+        acc = quad[j] = c.item(j) + a * acc
     rows[1] = a ** np.arange(steps, -1, -1.0)
     rows[2, :-1] = np.cumprod((1.0 - dt * gamma_rate(t[:-1], nu))[::-1])[::-1]
     rows[2, -1] = 1.0

@@ -82,11 +82,15 @@ class Scenario:
             return wf.harmonic_ground_state()
         if self.kind == "free-gaussian":
             return wf.free_gaussian_state()
+        return self.grid_state()
+
+    def grid_state(self) -> wf.WaveState:
+        """The t = 0 state on its grid: a state file's own, or else the oscillator
+        ground state, every kind's start, at ``grid_points`` over ``grid_extent``."""
         if self.state_file is not None:
             stat = os.stat(self.state_file)
             return _read_state(self.state_file, stat.st_mtime_ns, stat.st_size)
-        return wf.to_grid(wf.harmonic_ground_state(),
-                          extent=self.grid_extent, points=self.grid_points)
+        return wf.to_grid(wf.harmonic_ground_state(), self.grid_extent, self.grid_points)
 
     def drift_fields(self) -> Tuple[wf.DriftField, wf.DriftField]:
         """(interacting, free) drift pair of the initial state; equal for free-gaussian."""
@@ -106,5 +110,4 @@ class Scenario:
     def target_density(self) -> wf.MomentumDensity:
         """Quantum momentum density of the initial state (the distribution the
         extracted momentum samples must reproduce; contains no nu)."""
-        return wf.momentum_density(self.initial_state(),
-                                   extent=self.grid_extent, points=self.grid_points)
+        return wf.momentum_density(self.grid_state())

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import momentum, oscillator, sde, stats
+from .errors import NoConvergence
 from .scenarios import Scenario
 
 AUTOCOV_LAGS = (0.0, 0.5, 1.0, 2.0)
@@ -106,7 +107,7 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
 
     The very first sweep can overshoot before the Volterra contraction sets
     in, so the geometric-decrease requirement applies from the second
-    residual ratio onward.
+    residual ratio onward.  A NaN, or a path that never converges, fails it.
     """
     scenario, interacting, free = _oscillator_fields(nu)
     sampler = scenario.initial_sampler()
@@ -121,12 +122,16 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
         # column i is bit-identical to a single-path integrate of path i
         path = sde.SamplePath(times=times, positions=x[:, i], increments=dw[:, i],
                               params=params.with_path_index(i))
-        pair, _, history = sde.picard_solve((interacting, free), path, tol=tol)
-        worst_gap = max(worst_gap, float(np.max(np.abs(
+        try:
+            pair, _, history = sde.picard_solve((interacting, free), path, tol=tol)
+        except NoConvergence as err:
+            return CheckResult("picard equivalence", False, f"path {i}: {err}", {"path": i})
+        # np.maximum and np.max, unlike max, keep a NaN
+        worst_gap = float(np.maximum(worst_gap, np.max(np.abs(
             pair.free_positions - direct[:, i]))))
         ratios = np.array(history[1:]) / np.array(history[:-1])
         if len(ratios) > 1:
-            worst_ratio = max(worst_ratio, float(ratios[1:].max()))
+            worst_ratio = float(np.maximum(worst_ratio, ratios[1:].max()))
     passed = bool(worst_gap <= 1e-8 and worst_ratio < 0.95)
     detail = (f"max |picard - co_integrate| = {worst_gap:.2e}, "
               f"max post-transient residual ratio {worst_ratio:.3f}")
@@ -144,16 +149,15 @@ def _autocov_request(nu, dt, m, seed) -> dict:
 
 def check_autocovariance(ensemble: momentum.MomentumEnsemble) -> CheckResult:
     """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma, at
-    the ensemble's nu.
+    the ensemble's nu; a NaN estimate fails.
 
     ``ensemble`` is collected as ``_autocov_request`` asks.
     """
     points = stats.autocovariance(ensemble.extras["recorded_x"], dt=AUTOCOV_SPACING,
                                   lags=AUTOCOV_LAGS)
-    worst_sigma = 0.0
-    for pt in points:
-        target = float(oscillator.ou_covariance(0.0, pt.lag, ensemble.provenance["nu"]))
-        worst_sigma = max(worst_sigma, abs(pt.estimate - target) / pt.stderr)
+    nu = ensemble.provenance["nu"]
+    worst_sigma = float(np.max([abs(pt.estimate - float(oscillator.ou_covariance(0.0, pt.lag, nu)))
+                                / pt.stderr for pt in points]))
     passed = bool(worst_sigma <= 5.0)
     detail = f"max |estimate - target| = {worst_sigma:.2f} standard errors over lags {AUTOCOV_LAGS}"
     return CheckResult("OU autocovariance", passed, detail,

@@ -38,7 +38,7 @@ DEFAULT_POINTS = 4096
 @dataclass(frozen=True)
 class GaussianState:
     """The unit-norm Gaussian psi = exp(R + i S) that is the ground state of
-    V = x^2/2 at t = 0; ``time`` is the state's own time.
+    V = x^2/2 at t = 0.
 
     Held (``spreading`` false) it stays that ground state, with tau = 0
     below.  Spreading, it solves the free equation from it, with tau = t:
@@ -47,7 +47,6 @@ class GaussianState:
         S = x^2 tau / (2 (1 + tau^2)) - atan(tau)/2.
     """
 
-    time: float
     spreading: bool = False
 
     def _tau(self, t):
@@ -64,22 +63,20 @@ class GaussianState:
         tau = self._tau(t)
         return 0.5 * x * x * tau / (1.0 + tau * tau) - 0.5 * math.atan(tau)
 
-    def psi(self, x):
-        """The amplitude at positions x at the state's time."""
-        return np.exp(self.log_amp(x, self.time) + 1j * self.phase(x, self.time))
+    def psi(self, x, t):
+        """The amplitude at positions x and time t."""
+        return np.exp(self.log_amp(x, t) + 1j * self.phase(x, t))
 
 
 @dataclass(frozen=True)
 class WaveState:
-    """A wave function at ``time`` as complex ``amplitude`` values on the
-    uniform ``grid``."""
+    """A wave function as complex ``amplitude`` values on the uniform ``grid``."""
 
     grid: np.ndarray
     amplitude: np.ndarray
-    time: float
 
     @classmethod
-    def from_grid(cls, x, amplitude, time=0.0):
+    def from_grid(cls, x, amplitude):
         """A grid state scaled to h * sum |psi|^2 = 1; ValueError unless
         ``x`` is a finite, increasing, uniform grid of at least 4 points and
         ``amplitude`` is finite and not all zero."""
@@ -97,7 +94,7 @@ class WaveState:
         norm = math.sqrt(h * float(np.sum(np.abs(amplitude) ** 2)))
         if norm == 0.0:
             raise ValueError("cannot normalize a zero amplitude")
-        return cls(grid=x, amplitude=amplitude / norm, time=float(time))
+        return cls(grid=x, amplitude=amplitude / norm)
 
     @property
     def spacing(self) -> float:
@@ -106,23 +103,23 @@ class WaveState:
 
 def harmonic_ground_state() -> GaussianState:
     """Ground state of V = x^2/2 at t = 0; drift is -2 nu x, independent of time."""
-    return GaussianState(time=0.0)
+    return GaussianState()
 
 
-def free_gaussian_state(time=0.0) -> GaussianState:
-    """Freely spreading Gaussian at ``time``, whose profile at t = 0 matches
-    the oscillator ground state."""
-    return GaussianState(time=float(time), spreading=True)
+def free_gaussian_state() -> GaussianState:
+    """Freely spreading Gaussian whose profile at t = 0 matches the
+    oscillator ground state."""
+    return GaussianState(spreading=True)
 
 
 def to_grid(state: GaussianState | WaveState,
             extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """A Gaussian state sampled onto a uniform grid (unit norm); a grid state
-    as it is."""
+    """A Gaussian state at t = 0 sampled onto a uniform grid (unit norm); a
+    grid state as it is."""
     if isinstance(state, WaveState):
         return state
     x = np.linspace(extent[0], extent[1], points)
-    return WaveState.from_grid(x, state.psi(x), time=state.time)
+    return WaveState.from_grid(x, state.psi(x, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +219,11 @@ class FreeGridDriftEvaluator:
 
     _CACHE_SIZE = 512
 
-    def __init__(self, state: GaussianState | WaveState, nu: float):
-        grid_state = to_grid(state)
+    def __init__(self, state: WaveState, nu: float):
         self.nu = float(nu)
-        self.x = grid_state.grid
-        self.spectrum = np.fft.fft(grid_state.amplitude)
-        self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=grid_state.spacing)) ** 2
+        self.x = state.grid
+        self.spectrum = np.fft.fft(state.amplitude)
+        self.k2 = (2.0 * np.pi * np.fft.fftfreq(len(self.x), d=state.spacing)) ** 2
         self._cache = {}
 
     def state(self, t: float) -> WaveState:
@@ -248,7 +244,7 @@ class FreeGridDriftEvaluator:
         if max(mags[0], mags[-1]) > BOUNDARY_AMPLITUDE * mags.max():
             warnings.warn(f"relative amplitude at a grid edge exceeds {BOUNDARY_AMPLITUDE:.0e}; "
                           "widen the grid extent", GridTooNarrowWarning)
-        return WaveState(grid=self.x, amplitude=psi, time=t)
+        return WaveState(grid=self.x, amplitude=psi)
 
     def _slice(self, t: float) -> GridInterpEvaluator:
         key = float(t)
@@ -314,7 +310,7 @@ def free_drift(state: GaussianState | WaveState, nu: float) -> DriftField:
     """Drift of ``state`` evolving freely: for a Gaussian state, the same
     state spreading from t = 0; for a grid state, spectral propagation."""
     if isinstance(state, GaussianState):
-        return drift(GaussianState(state.time, spreading=True), nu)
+        return drift(free_gaussian_state(), nu)
     return free_drift_field_from_grid(state, nu)
 
 
@@ -346,15 +342,13 @@ class MomentumDensity:
         return np.interp(values, self.p, self._cdf / self._cdf[-1], left=0.0, right=1.0)
 
 
-def momentum_density(initial: GaussianState | WaveState,
-                     extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> MomentumDensity:
-    """Momentum density of ``initial`` via the discrete Fourier transform.
+def momentum_density(state: WaveState) -> MomentumDensity:
+    """Momentum density of a grid state via the discrete Fourier transform.
 
     psi_hat(P) = integral exp(-i P x) psi(x) dx approximated as h times the
     DFT; zero padding to four times the grid length refines the P resolution
     so the numeric CDF is accurate enough for distribution tests.
     """
-    state = to_grid(initial, extent, points)
     amp = state.amplitude
     n = len(amp) * 4
     h = state.spacing
@@ -377,12 +371,11 @@ def momentum_density(initial: GaussianState | WaveState,
 # Serialization (columns: x, re_psi, im_psi / p, rho)
 # ---------------------------------------------------------------------------
 
-def write_state(state: GaussianState | WaveState, path) -> None:
-    grid_state = to_grid(state)
+def write_state(state: WaveState, path) -> None:
     tableio.write_table(path, {
-        "x": grid_state.grid,
-        "re_psi": grid_state.amplitude.real,
-        "im_psi": grid_state.amplitude.imag,
+        "x": state.grid,
+        "re_psi": state.amplitude.real,
+        "im_psi": state.amplitude.imag,
     })
 
 

@@ -142,7 +142,7 @@ def test_criterion_9_spectral_propagator():
     norm_drift = 0.0
     for tau in (0.5, 2.0):
         out = wf.FreeGridDriftEvaluator(initial, 0.5).state(tau)
-        exact = wf.free_gaussian_state(time=tau).psi(initial.grid)
+        exact = wf.free_gaussian_state().psi(initial.grid, tau)
         worst = max(worst, float(np.max(np.abs(out.amplitude - exact))))
         norm = out.spacing * float(np.sum(np.abs(out.amplitude) ** 2))
         norm_drift = max(norm_drift, abs(norm - 1.0))

@@ -60,11 +60,11 @@ def test_config_rejects_bad_fields(tmp_path):
         cli.ScenarioConfig(seed=-1).validate()
     with pytest.raises(ConfigError, match="state_file"):
         cli.ScenarioConfig(scenario="grid-custom",
-                           state_file=str(tmp_path / "missing.tsv")).validate()
+                           state_file=str(tmp_path / "missing.tsv")).validate().check_state()
     for grid in DEGENERATE_GRIDS.values():
         with pytest.raises(ConfigError, match=f"^{next(iter(grid))}: "):
-            cli.ScenarioConfig(**grid).validate().check_grid()
-    cli.ScenarioConfig(grid_points=scenarios.GRID_POINT_LIMIT).validate().check_grid()
+            cli.ScenarioConfig(**grid).validate().check_state()
+    cli.ScenarioConfig(grid_points=scenarios.GRID_POINT_LIMIT).validate().check_state()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -536,7 +536,7 @@ def test_dump_rebuilds_uncached_free_slices_once_per_batch(tmp_path, monkeypatch
     slices = []
 
     def counting_drift(state, nu):
-        slices.append(state.time)
+        slices.append(nu)
         return drift(state, nu)
 
     monkeypatch.setattr(wf, "drift", counting_drift)
@@ -760,6 +760,31 @@ def _momentum_ensemble(values, horizon, dt=1e-3):
                                      provenance={"nu": 0.5, "horizon": horizon, "dt": dt})
 
 
+def test_autocovariance_check_fails_on_a_nan_record():
+    # before, max() dropped the NaN and an all-NaN record passed at 0.00
+    # standard errors
+    ensemble = _momentum_ensemble(np.zeros(20), 2.0)
+    ensemble.extras["recorded_x"] = np.full((20, 5), np.nan)
+    result = verify.check_autocovariance(ensemble)
+    assert not result.passed, result.line()
+
+
+def test_verify_fails_the_picard_check_where_its_sweeps_diverge():
+    # at nu 250 the Picard sweeps overflow; before, NoConvergence ended the
+    # battery with no line printed, after numpy's overflow warnings
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochmech", "verify", "--nu", "250", "--paths", "12",
+         "--horizon", "1", "--workers", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert len(lines) == 5, lines
+    assert lines[1].startswith("FAIL picard equivalence: path 0: no convergence after "
+                               "200 iterations (last residual "), lines
+
+
 @pytest.mark.parametrize("variance,passes", [("euler", True), (0.5, False)])
 def test_nu_invariance_band_is_centred_on_the_finite_horizon_variance(variance, passes):
     # at T = 1, Var(P) of the Euler scheme is 0.9997, not the T -> inf value 1/2
@@ -807,6 +832,24 @@ def test_batched_picard_check_matches_the_scalar_route():
 
 def test_verify_cli_requires_oscillator():
     assert run_main("verify", "--scenario", "free-gaussian") == 2
+
+
+@pytest.mark.parametrize("state", ["missing", "valid"])
+def test_verify_never_reads_the_state_file(tmp_path, capsys, monkeypatch, state):
+    # verify runs the oscillator battery only; before, it read the state file
+    # first, and reported a missing one in place of the scenario
+    from stochmech import wavefunction as wf
+    state_path = tmp_path / "state.tsv"
+    if state == "valid":
+        wf.write_state(wf.to_grid(wf.harmonic_ground_state(), points=64), state_path)
+    reads = []
+    monkeypatch.setattr(wf, "read_state", reads.append)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"scenario": "grid-custom", "state_file": str(state_path)}))
+    assert run_main("verify", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == ("configuration error: scenario: verify requires "
+                                       "the oscillator-ground scenario\n")
+    assert reads == []
 
 
 @pytest.mark.parametrize("dt, horizon", [("0.003", "0.9"), ("0.4", "2.0"), ("0.2", "2.0")])

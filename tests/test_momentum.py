@@ -357,7 +357,7 @@ def test_collect_builds_the_drift_pair_once_per_process(monkeypatch):
         return drift_fields(scenario)
 
     def counting_drift(state, nu):
-        drifts_built.append(state.time)
+        drifts_built.append(nu)
         return drift(state, nu)
 
     monkeypatch.setattr(Scenario, "drift_fields", counting_drift_fields)
@@ -424,7 +424,7 @@ def test_long_run_chunks_reuse_the_first_512_free_slices(monkeypatch):
     drift = wf.drift
 
     def counting_drift(state, nu):
-        slices.append(state.time)
+        slices.append(nu)
         return drift(state, nu)
 
     scenario = Scenario(kind="grid-custom", nu=0.5, grid_extent=(-30.0, 30.0),

@@ -1,6 +1,7 @@
 """Closed-form oscillator ground truth against independent quadrature and MC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_free_drift_matches_wavefunction_route():
 
 
 def test_free_drift_matches_finite_difference_of_fields():
-    state = wf.free_gaussian_state(time=2.2)
+    state = wf.free_gaussian_state()
     x = np.linspace(-3.0, 3.0, 21)
     h = 1e-6
     dr = (state.log_amp(x + h, 2.2) - state.log_amp(x - h, 2.2)) / (2.0 * h)
@@ -214,6 +215,18 @@ def test_euler_covariance_matches_the_forward_recursion(nu, horizon, dt):
     order = [2, 0, 1]
     expected = cov[np.ix_(order, order)]
     assert np.allclose(osc.euler_covariance(horizon, nu, dt), expected, rtol=1e-12, atol=1e-14)
+
+
+def test_euler_covariance_holds_no_python_list_of_its_steps():
+    # the backward recursion writes into its row; as a list of 50,001 floats
+    # it peaked at 4.24 MiB here
+    tracemalloc.start()
+    try:
+        osc.euler_covariance(50.0, NU, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2 ** 20, peak
 
 
 def test_momentum_variance_converges_at_order_dt():

@@ -139,7 +139,7 @@ def seed_sequence_rng(seed, index, stream):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
 @pytest.mark.parametrize("indices", [[0], [2**32 - 1], [2**32],
                                      list(range(2**32 - 3, 2**32 + 3))])
 @pytest.mark.parametrize("stream", [sde.STREAM_NOISE, sde.STREAM_INITIAL])

@@ -102,3 +102,20 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == str([False] * len(modules))
+
+
+def called_names(path: Path) -> set:
+    """The name of each function ``path`` calls, ``f`` of both ``f(...)`` and
+    ``module.f(...)``."""
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
+def test_only_the_scenario_puts_a_state_on_a_grid():
+    # Scenario.grid_state is the one owner of a t = 0 state on its grid, and
+    # every other module takes the grid state as it is; checked at the source
+    # so that it holds wherever code moves
+    callers = [path.name for path in SOURCES if path.parent.name == "stochmech"
+               and "to_grid" in called_names(path)]
+    assert callers == ["scenarios.py"]

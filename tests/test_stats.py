@@ -12,7 +12,7 @@ from stochmech.errors import TooFewSamples
 
 
 def gaussian_density():
-    return wf.momentum_density(wf.harmonic_ground_state())
+    return wf.momentum_density(wf.to_grid(wf.harmonic_ground_state()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ def _norm(state):
 
 def test_decompose_free_gaussian_at_unit_elapsed_time():
     # spreading Gaussian at tau = 1: R = -x^2/4 - log(2 pi)/4, S = x^2/4 - pi/8
-    state = wf.free_gaussian_state(time=1.0)
+    state = wf.free_gaussian_state()
     x = np.linspace(-4.0, 4.0, 33)
-    assert np.allclose(state.log_amp(x, state.time),
+    assert np.allclose(state.log_amp(x, 1.0),
                        -x * x / 4.0 - 0.25 * math.log(2.0 * math.pi), atol=1e-12)
-    assert np.allclose(state.phase(x, state.time), x * x / 4.0 - math.pi / 8.0, atol=1e-12)
+    assert np.allclose(state.phase(x, 1.0), x * x / 4.0 - math.pi / 8.0, atol=1e-12)
 
 
 def test_decompose_unwraps_phase_along_grid():
@@ -73,13 +73,13 @@ def test_free_gaussian_drift_closed_form():
 
 def test_free_gaussian_drift_matches_finite_differences():
     nu = 0.6
-    state = wf.free_gaussian_state(time=1.3)
+    state = wf.free_gaussian_state()
     field = wf.drift(state, nu)
     x = np.linspace(-3.0, 3.0, 25)
-    h = 1e-6
-    dr = (state.log_amp(x + h, state.time) - state.log_amp(x - h, state.time)) / (2.0 * h)
-    ds = (state.phase(x + h, state.time) - state.phase(x - h, state.time)) / (2.0 * h)
-    assert np.max(np.abs(field(x, 1.3) - (2.0 * nu * dr + ds))) < 1e-8
+    h, t = 1e-6, 1.3
+    dr = (state.log_amp(x + h, t) - state.log_amp(x - h, t)) / (2.0 * h)
+    ds = (state.phase(x + h, t) - state.phase(x - h, t)) / (2.0 * h)
+    assert np.max(np.abs(field(x, t) - (2.0 * nu * dr + ds))) < 1e-8
 
 
 def test_gaussian_drifts_keep_their_float_expressions_bit_for_bit():
@@ -106,18 +106,20 @@ def test_constant_state_has_zero_drift():
 
 
 @pytest.mark.parametrize("state_fn", [
-    lambda: wf.harmonic_ground_state(),
-    lambda: wf.free_gaussian_state(time=0.7),
+    lambda: (wf.harmonic_ground_state(), 0.0),
+    lambda: (wf.free_gaussian_state(), 0.7),
 ])
 def test_grid_drift_matches_analytic_for_gaussian_states(state_fn):
     # R and S of both families are quadratic in x, so central differences and
     # linear interpolation are exact; only roundoff remains.
     nu = 0.5
-    analytic = wf.drift(state_fn(), nu)
+    state, t = state_fn()
+    analytic = wf.drift(state, nu)
     x_eval = np.linspace(-3.0, 3.0, 301)
-    target = analytic(x_eval, state_fn().time)
-    grid_field = wf.drift(wf.to_grid(state_fn(), points=512), nu)
-    assert np.max(np.abs(grid_field(x_eval, state_fn().time) - target)) < 1e-9
+    target = analytic(x_eval, t)
+    x = np.linspace(*wf.DEFAULT_EXTENT, 512)
+    grid_field = wf.drift(wf.WaveState.from_grid(x, state.psi(x, t)), nu)
+    assert np.max(np.abs(grid_field(x_eval, t) - target)) < 1e-9
 
 
 def test_grid_drift_second_order_convergence():
@@ -202,7 +204,7 @@ def propagate(initial, t):
 def test_propagate_identity_at_start_time():
     state = wf.to_grid(wf.harmonic_ground_state())
     out = propagate(state, 0.0)
-    assert out.time == 0.0 and out.grid is state.grid
+    assert out.grid is state.grid
     assert np.max(np.abs(out.amplitude - state.amplitude)) < 1e-15
 
 
@@ -210,7 +212,7 @@ def test_propagate_identity_at_start_time():
 def test_spectral_propagation_matches_closed_form(tau):
     initial = wf.to_grid(wf.harmonic_ground_state())
     out = propagate(initial, tau)
-    exact = wf.free_gaussian_state(time=tau).psi(initial.grid)
+    exact = wf.free_gaussian_state().psi(initial.grid, tau)
     assert np.max(np.abs(out.amplitude - exact)) < 1e-6
     assert abs(_norm(out) - 1.0) < 1e-10
 
@@ -247,7 +249,7 @@ def test_propagation_warns_when_grid_too_narrow():
 # ---------------------------------------------------------------------------
 
 def test_momentum_density_of_gaussian():
-    density = wf.momentum_density(wf.harmonic_ground_state())
+    density = wf.momentum_density(wf.to_grid(wf.harmonic_ground_state()))
     expected = np.exp(-density.p ** 2) / math.sqrt(math.pi)
     assert np.max(np.abs(density.density - expected)) < 1e-6
     p, rho = density.p, density.density
@@ -283,7 +285,7 @@ def test_momentum_density_shifts_under_modulation():
 def test_make_harmonic_state_profile():
     state = wf.harmonic_ground_state()
     x = np.linspace(-2.0, 2.0, 11)
-    ratio = state.psi(x) / np.exp(-0.5 * x * x)
+    ratio = state.psi(x, 0.0) / np.exp(-0.5 * x * x)
     assert np.allclose(ratio, ratio[0], atol=1e-12)
 
 
@@ -306,7 +308,8 @@ def test_make_grid_state_is_normalized():
 # ---------------------------------------------------------------------------
 
 def test_state_table_roundtrip(tmp_path):
-    state = wf.to_grid(wf.free_gaussian_state(time=0.4), points=512)
+    x = np.linspace(*wf.DEFAULT_EXTENT, 512)
+    state = wf.WaveState.from_grid(x, wf.free_gaussian_state().psi(x, 0.4))
     path = tmp_path / "state.tsv"
     wf.write_state(state, path)
     back = wf.read_state(path)
@@ -315,7 +318,7 @@ def test_state_table_roundtrip(tmp_path):
 
 
 def test_density_table_columns(tmp_path):
-    density = wf.momentum_density(wf.harmonic_ground_state())
+    density = wf.momentum_density(wf.to_grid(wf.harmonic_ground_state()))
     path = tmp_path / "density.tsv"
     wf.write_density(density, path)
     header = path.read_text().splitlines()[0]

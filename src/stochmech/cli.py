@@ -280,7 +280,7 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
     tableio.write_table(os.path.join(run_dir, "ensemble.tsv"), {
         "path_index": ensemble.path_indices,
         "P": ensemble.values,
-        "T_used": np.full(len(ensemble), ensemble.provenance["horizon"]),
+        "T_used": np.full(len(ensemble), params.span),
     })
 
     density = scenario.target_density()

@@ -111,7 +111,7 @@ class EnsemblePlan:
 
     def reduce(self, chunks: Sequence[sde.EnsembleChunk]) -> MomentumEnsemble:
         """The ensemble from the results of ``jobs``, in job order; each
-        path's momentum is its x_F at the last row over steps * dt."""
+        path's momentum is its x_F at the last row over ``params.span``."""
         row_of = {k: j for j, k in enumerate(self.rows)}
         xf_final = np.concatenate([ch.recorded_xf[-1] for ch in chunks])
         x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)
@@ -129,8 +129,7 @@ class EnsemblePlan:
             extras["recorded_times"] = np.asarray(self.record_indices) * self.params.dt
             extras["recorded_x"] = x[[row_of[k] for k in self.record_indices]].T
         return MomentumEnsemble(
-            # steps * dt, not horizon: the two can differ in the last bit
-            values=xf_final / (self.params.steps * self.params.dt),
+            values=xf_final / self.params.span,
             path_indices=np.concatenate([ch.path_indices for ch in chunks]),
             provenance=self.provenance, extras=extras)
 

@@ -36,7 +36,7 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
 # Steps of noise drawn per path at once by ``_noise_blocks``, for the
-# ensemble kernel, the batch checks of ``verify`` and the path dump.  Its one
+# ensemble kernel, the closed-form check of ``verify`` and the path dump.  Its
 # (BLOCK x paths) buffer sets much of their peak memory: 9.8 MiB for a
 # 5,000-path chunk.  The value changes no output, since each path's stream is
 # sequential; a shorter block costs one more generator fill per path per
@@ -75,6 +75,12 @@ class SimParams:
     @property
     def steps(self) -> int:
         return round(self.horizon / self.dt)
+
+    @property
+    def span(self) -> float:
+        """steps * dt, the time the mesh spans and momentum is divided by;
+        it can differ from ``horizon`` in the last bit."""
+        return self.steps * self.dt
 
     @property
     def noise_scale(self) -> float:
@@ -328,9 +334,11 @@ def co_integrate(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath) -
     return CoupledPair(base=base, free_positions=xf, ood_count_free=int(ood))
 
 
-def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
+def picard_solve(pair_drifts: Tuple[DriftField, DriftField], x: np.ndarray,
+                 times: np.ndarray, dt: float,
                  tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER):
-    """Fixed-point construction of the free path from the integral relation
+    """Fixed-point construction of the free path of the interacting path
+    ``x`` on the mesh ``times`` of step ``dt`` from the integral relation
 
         x_F(t) = x(t) + int_0^t [b_F(x_F, s) - b(x, s)] ds
 
@@ -340,13 +348,10 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
     drifts are evaluated along the whole path at once, so they must accept
     an array of times, one per position.
 
-    Returns (CoupledPair, iterations, residual_history).  Raises
-    NoConvergence if the sup-norm update never drops below ``tol``.
+    Returns (x_F, iterations, residual_history).  Raises NoConvergence if
+    the sup-norm update never drops below ``tol``.
     """
     interacting, free = pair_drifts
-    x = base.positions
-    times = base.times
-    dt = base.params.dt
     b_base = interacting(x, times)
     integral = np.zeros_like(x)
     y = x.copy()
@@ -359,8 +364,7 @@ def picard_solve(pair_drifts: Tuple[DriftField, DriftField], base: SamplePath,
         history.append(residual)
         y = y_new
         if residual < tol:
-            pair = CoupledPair(base=base, free_positions=y)
-            return pair, iteration, history
+            return y, iteration, history
     raise NoConvergence(max_iter, history[-1] if history else float("nan"))
 
 

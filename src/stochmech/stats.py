@@ -80,12 +80,15 @@ def ks_against_density(samples, density: MomentumDensity) -> KSResult:
 
 
 def ks_two_sample(a, b) -> KSResult:
-    """Two-sample KS statistic with the asymptotic p-value."""
+    """Two-sample KS statistic with the asymptotic p-value; both are NaN
+    when either sample holds a NaN, which has no place in the order."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     n1, n2 = len(a), len(b)
     if min(n1, n2) < MIN_KS_SAMPLES:
         raise TooFewSamples(f"KS test needs >= {MIN_KS_SAMPLES} samples per side")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):        # np.sort puts NaN last
+        return KSResult(statistic=math.nan, n=n1, pvalue=math.nan)
     pooled = np.concatenate([a, b])
     cdf1 = np.searchsorted(a, pooled, side="right") / n1
     cdf2 = np.searchsorted(b, pooled, side="right") / n2

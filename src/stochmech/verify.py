@@ -44,15 +44,6 @@ def _oscillator_fields(nu: float):
     return scenario, interacting, free
 
 
-def _draw_paths(params: sde.SimParams, sampler, n_paths: int):
-    """Increments (steps, n_paths) and initial positions of paths
-    0..n_paths-1, each from its own streams, for the batch integrators."""
-    dw = np.empty((params.steps, n_paths))
-    for k, block in sde._noise_blocks(params, range(n_paths)):
-        dw[k:k + len(block)] = block
-    return dw, sde.initial_positions(params.seed, range(n_paths), sampler)
-
-
 def check_coupled_closed_form(nu: float = 0.5, dt: float = 1e-3,
                               horizon: float = 10.0, n_paths: int = 100,
                               seed: int = 1000) -> CheckResult:
@@ -105,30 +96,29 @@ def check_picard_equivalence(nu: float = 0.5, dt: float = 1e-3,
                              seed: int = 2000, tol: float = 1e-10) -> CheckResult:
     """Picard fixed point vs direct co-integration, plus geometric residuals.
 
-    The very first sweep can overshoot before the Volterra contraction sets
-    in, so the geometric-decrease requirement applies from the second
-    residual ratio onward.  A NaN, or a path that never converges, fails it.
+    x and x_F are every row of one run of the ensemble kernel, which steps
+    every momentum sample; each path is solved on its own.  The very first
+    sweep can overshoot before the Volterra contraction sets in, so the
+    geometric-decrease requirement applies from the second residual ratio
+    onward.  A NaN, or a path that never converges, fails it.
     """
     scenario, interacting, free = _oscillator_fields(nu)
-    sampler = scenario.initial_sampler()
     params = sde.SimParams(nu=nu, dt=dt, horizon=horizon, seed=seed)
-    dw, x0 = _draw_paths(params, sampler, n_paths)
-    x = sde.integrate_batch(interacting, x0, params, dw)
-    direct = sde.co_integrate_batch(free, x0, params, dw)
     times = params.times()
+    run = sde.simulate_coupled_ensemble(interacting, free, scenario.initial_sampler(),
+                                        params, range(n_paths),
+                                        record_indices=np.arange(params.steps + 1))
     worst_gap = 0.0
     worst_ratio = 0.0
-    for i in range(n_paths):
-        # column i is bit-identical to a single-path integrate of path i
-        path = sde.SamplePath(times=times, positions=x[:, i], increments=dw[:, i],
-                              params=params.with_path_index(i))
+    # a whole-matrix solve would keep sweeping converged paths, whose residual
+    # ratios then reach the rounding floor
+    for i, (x, direct) in enumerate(zip(run.recorded_x.T, run.recorded_xf.T)):
         try:
-            pair, _, history = sde.picard_solve((interacting, free), path, tol=tol)
+            xf, _, history = sde.picard_solve((interacting, free), x, times, dt, tol=tol)
         except NoConvergence as err:
             return CheckResult("picard equivalence", False, f"path {i}: {err}", {"path": i})
         # np.maximum and np.max, unlike max, keep a NaN
-        worst_gap = float(np.maximum(worst_gap, np.max(np.abs(
-            pair.free_positions - direct[:, i]))))
+        worst_gap = float(np.maximum(worst_gap, np.max(np.abs(xf - direct))))
         ratios = np.array(history[1:]) / np.array(history[:-1])
         if len(ratios) > 1:
             worst_ratio = float(np.maximum(worst_ratio, ratios[1:].max()))
@@ -149,7 +139,7 @@ def _autocov_request(nu, dt, m, seed) -> dict:
 
 def check_autocovariance(ensemble: momentum.MomentumEnsemble) -> CheckResult:
     """Cross-path OU covariance against (1/2) exp(-2 nu lag) at 5 sigma, at
-    the ensemble's nu; a NaN estimate fails.
+    the ensemble's nu; a NaN estimate, or a lag with no spread, fails.
 
     ``ensemble`` is collected as ``_autocov_request`` asks.
     """
@@ -157,7 +147,7 @@ def check_autocovariance(ensemble: momentum.MomentumEnsemble) -> CheckResult:
                                   lags=AUTOCOV_LAGS)
     nu = ensemble.provenance["nu"]
     worst_sigma = float(np.max([abs(pt.estimate - float(oscillator.ou_covariance(0.0, pt.lag, nu)))
-                                / pt.stderr for pt in points]))
+                                / pt.stderr if pt.stderr else math.inf for pt in points]))
     passed = bool(worst_sigma <= 5.0)
     detail = f"max |estimate - target| = {worst_sigma:.2f} standard errors over lags {AUTOCOV_LAGS}"
     return CheckResult("OU autocovariance", passed, detail,

@@ -112,12 +112,9 @@ def free_gaussian_state() -> GaussianState:
     return GaussianState(spreading=True)
 
 
-def to_grid(state: GaussianState | WaveState,
-            extent=DEFAULT_EXTENT, points=DEFAULT_POINTS) -> WaveState:
-    """A Gaussian state at t = 0 sampled onto a uniform grid (unit norm); a
-    grid state as it is."""
-    if isinstance(state, WaveState):
-        return state
+def to_grid(state: GaussianState, extent=DEFAULT_EXTENT,
+            points=DEFAULT_POINTS) -> WaveState:
+    """A Gaussian state at t = 0 sampled onto a uniform grid (unit norm)."""
     x = np.linspace(extent[0], extent[1], points)
     return WaveState.from_grid(x, state.psi(x, 0.0))
 

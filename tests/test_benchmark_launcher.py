@@ -58,8 +58,9 @@ def bench(monkeypatch):
 
 def test_traced_verify_counts_the_benchmark_path_steps(bench, tmp_path):
     # the benchmark counts verify's path-steps from its parameters; the
-    # closed-form and Picard checks must step their paths through the batch
-    # integrator the launcher counts
+    # closed-form check must step its paths through the batch integrator and
+    # the Picard check through the ensemble kernel, both of which the
+    # launcher counts
     paths, horizon = 40, 2.0
     done = subprocess.run([sys.executable, str(LAUNCH), str(tmp_path), "--trace", "--",
                            "verify", "--paths", str(paths), "--horizon", repr(horizon),

@@ -471,6 +471,18 @@ def test_run_ensemble_table_layout(small_run):
     assert np.all(cols["T_used"] == 2.0)
 
 
+def test_t_used_is_the_time_p_is_divided_by(tmp_path):
+    # 3 steps of 0.1 span 0.30000000000000004; before, T_used read the
+    # configured horizon, 0.29999999999999999
+    out = tmp_path / "runs"
+    assert run_main("run", "--paths", "12", "--horizon", "0.3", "--dt", "0.1",
+                    "--workers", "1", "--out", str(out)) == 0
+    (run_dir,) = out.iterdir()
+    cols = tableio.read_table(run_dir / "ensemble.tsv")
+    assert 3 * 0.1 != 0.3
+    assert np.all(cols["T_used"] == 3 * 0.1)
+
+
 def test_dumped_path_satisfies_recursion(small_run):
     cols = tableio.read_table(small_run / "paths" / "path_00003.tsv")
     assert list(cols) == ["t", "x", "x_F", "dW"]
@@ -769,6 +781,25 @@ def test_autocovariance_check_fails_on_a_nan_record():
     assert not result.passed, result.line()
 
 
+def test_autocovariance_check_fails_on_a_record_with_no_spread():
+    # before, a zero standard error raised ZeroDivisionError
+    ensemble = _momentum_ensemble(np.zeros(20), 2.0)
+    ensemble.extras["recorded_x"] = np.zeros((20, 5))
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = verify.check_autocovariance(ensemble)
+    assert not result.passed, result.line()
+
+
+def test_nu_invariance_ks_fails_on_nan_ensembles():
+    # before, two-sample KS ordered NaN as equal values: all-NaN ensembles
+    # read p = 1.000
+    nan = _momentum_ensemble(np.full(20, np.nan), 1.0)
+    result = verify.check_nu_invariance(nan, {0.25: nan, 1.0: nan})
+    assert not result.passed
+    assert all(math.isnan(p) for p in result.data["pvalues"].values()), result.line()
+
+
 def test_verify_fails_the_picard_check_where_its_sweeps_diverge():
     # at nu 250 the Picard sweeps overflow; before, NoConvergence ended the
     # battery with no line printed, after numpy's overflow warnings
@@ -806,8 +837,9 @@ def test_verify_cli_passes_at_a_short_horizon(capsys):
 
 
 def test_batched_picard_check_matches_the_scalar_route():
-    # the check steps its paths as one batch; one path at a time through the
-    # single-path integrators gives the same worst gap and ratio bit for bit
+    # the check steps its paths in one ensemble kernel run; one path at a
+    # time through the single-path integrators gives the same worst gap and
+    # ratio bit for bit
     nu, dt, horizon, n_paths, seed = 0.5, 1e-3, 1.0, 4, 2000
     result = verify.check_picard_equivalence(nu=nu, dt=dt, horizon=horizon,
                                              n_paths=n_paths, seed=seed)
@@ -820,8 +852,8 @@ def test_batched_picard_check_matches_the_scalar_route():
         p = params.with_path_index(i)
         path = sde.integrate(fields[0], sde.draw_initial(p, sampler), p)
         direct = sde.co_integrate(fields, path)
-        pair, _, history = sde.picard_solve(fields, path)
-        gap = max(gap, float(np.max(np.abs(pair.free_positions - direct.free_positions))))
+        xf, _, history = sde.picard_solve(fields, path.positions, path.times, dt)
+        gap = max(gap, float(np.max(np.abs(xf - direct.free_positions))))
         ratios = np.array(history[1:]) / np.array(history[:-1])
         if len(ratios) > 1:
             ratio = max(ratio, float(ratios[1:].max()))

@@ -276,10 +276,11 @@ def test_picard_identity_case_converges_immediately():
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=3)
     field = free_drift()
     path = sde.integrate(field, 0.1, params)
-    pair, iterations, history = sde.picard_solve((field, field), path)
+    xf, iterations, history = sde.picard_solve((field, field), path.positions,
+                                               path.times, params.dt)
     assert iterations == 1
     assert history[0] == 0.0
-    assert np.array_equal(pair.free_positions, path.positions)
+    assert np.array_equal(xf, path.positions)
 
 
 def test_picard_agrees_with_co_integration():
@@ -288,9 +289,9 @@ def test_picard_agrees_with_co_integration():
     for index in range(3):
         path = sde.integrate(interacting, 0.5, params.with_path_index(index))
         direct = sde.co_integrate((interacting, free), path)
-        pair, iterations, history = sde.picard_solve((interacting, free), path,
-                                                     tol=1e-10)
-        assert np.max(np.abs(pair.free_positions - direct.free_positions)) < 1e-8
+        xf, iterations, history = sde.picard_solve((interacting, free), path.positions,
+                                                   path.times, params.dt, tol=1e-10)
+        assert np.max(np.abs(xf - direct.free_positions)) < 1e-8
         ratios = np.array(history[1:]) / np.array(history[:-1])
         assert np.all(ratios < 0.9)
 
@@ -300,7 +301,8 @@ def test_picard_raises_no_convergence():
     interacting, free = oscillator_drift(), free_drift()
     path = sde.integrate(interacting, 0.5, params)
     with pytest.raises(NoConvergence) as err:
-        sde.picard_solve((interacting, free), path, max_iter=2)
+        sde.picard_solve((interacting, free), path.positions, path.times, params.dt,
+                         max_iter=2)
     assert err.value.max_iter == 2
     assert err.value.last_residual > 0.0
 

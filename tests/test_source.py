@@ -119,3 +119,16 @@ def test_only_the_scenario_puts_a_state_on_a_grid():
     callers = [path.name for path in SOURCES if path.parent.name == "stochmech"
                and "to_grid" in called_names(path)]
     assert callers == ["scenarios.py"]
+
+
+SCALAR_API = {"SamplePath", "CoupledPair", "integrate", "co_integrate", "wiener_increments",
+              "draw_initial", "path_rng", "with_path_index"}
+
+
+def test_only_sde_calls_the_single_path_api():
+    # the library runs every path through the ensemble kernel or the batch
+    # integrators, so the single-path API serves only sde itself and the
+    # tests, and deleting it touches nothing else in src
+    callers = {path.name: sorted(SCALAR_API & called_names(path)) for path in SOURCES
+               if path.parent.name == "stochmech" and path.name != "sde.py"}
+    assert {name: called for name, called in callers.items() if called} == {}

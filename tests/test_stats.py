@@ -94,6 +94,15 @@ def test_two_sample_ks_same_and_shifted():
     assert shifted.pvalue < 1e-6
 
 
+def test_two_sample_ks_is_nan_when_a_sample_holds_a_nan():
+    # before, NaN sorted as equal values: two all-NaN samples read D = 0, p = 1
+    a = np.random.default_rng(4).standard_normal(20)
+    for x, y in ((np.full(20, np.nan), np.full(20, np.nan)),
+                 (a, np.append(a[1:], np.nan)), (np.append(a[1:], np.nan), a)):
+        result = stats.ks_two_sample(x, y)
+        assert math.isnan(result.statistic) and math.isnan(result.pvalue)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

@@ -296,6 +296,9 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
 
     mom = stats.moments(ensemble.values)
     ks = stats.ks_against_density(ensemble.values, density)
+    # one count per path stepped; a plain collect steps x_F alone
+    ood = {side: int(ensemble.extras[f"out_of_domain_{side}"].sum())
+           for side in ("free", "interacting") if f"out_of_domain_{side}" in ensemble.extras}
     summary = {
         "sample_count": mom.n,
         "mean": mom.mean,
@@ -304,7 +307,8 @@ def _write_run(run_dir: str, config: ScenarioConfig) -> str:
         "stderr_variance": mom.stderr_variance,
         "ks_statistic": ks.statistic,
         "ks_pvalue": ks.pvalue,
-        "out_of_domain_evaluations": int(ensemble.extras["out_of_domain"].sum()),
+        "out_of_domain_evaluations": sum(ood.values()),
+        "out_of_domain_by_side": ood,
         "provenance": ensemble.provenance,
     }
     tableio.write_json(os.path.join(run_dir, "summary.json"), summary)

@@ -8,6 +8,7 @@ ratio, with T = steps * dt, at a bias of O(1/T).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -59,12 +60,12 @@ def _setup(scenario: Scenario):
 
 
 def _run_chunk(scenario: Scenario, params: sde.SimParams, indices: np.ndarray,
-               record_indices: Sequence[int],
-               time_weights: Optional[np.ndarray]) -> sde.EnsembleChunk:
+               record_indices: Sequence[int], time_weights: Optional[np.ndarray],
+               walk_x: bool) -> sde.EnsembleChunk:
     interacting, free, sampler = _setup(scenario)
     try:
         return sde.simulate_coupled_ensemble(
-            interacting, free, sampler, params, indices,
+            interacting if walk_x else None, free, sampler, params, indices,
             record_indices=record_indices, time_weights=time_weights)
     except Exception as err:
         raise PathSimulationError(indices, err) from err
@@ -99,7 +100,7 @@ class EnsemblePlan:
     """The chunk jobs of one ensemble, and what reducing their results needs.
 
     ``jobs`` are contiguous chunks of paths 0..M-1 in order; ``rows`` are the
-    step indices the kernel keeps x and x_F at.
+    step indices the kernel keeps x_F at, and x too when the plan steps it.
     """
 
     jobs: list
@@ -111,25 +112,25 @@ class EnsemblePlan:
 
     def reduce(self, chunks: Sequence[sde.EnsembleChunk]) -> MomentumEnsemble:
         """The ensemble from the results of ``jobs``, in job order; each
-        path's momentum is its x_F at the last row over ``params.span``."""
-        row_of = {k: j for j, k in enumerate(self.rows)}
-        xf_final = np.concatenate([ch.recorded_xf[-1] for ch in chunks])
-        x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)
-        extras = {
-            "x0": x[0],
-            "x_final": x[-1],
-            "xf_final": xf_final,
-            "out_of_domain": np.concatenate([ch.ood_interacting + ch.ood_free
-                                             for ch in chunks]),
-        }
+        path's momentum is its x_F at the last row over ``params.span``.
+        Out-of-domain counts are kept per path for each side stepped
+        (``out_of_domain_<side>``) and summed (``out_of_domain``)."""
+        xf = np.concatenate([ch.recorded_xf for ch in chunks], axis=1)
+        ood = {"free": np.concatenate([ch.ood_free for ch in chunks])}
+        if chunks[0].ood_interacting is not None:
+            ood["interacting"] = np.concatenate([ch.ood_interacting for ch in chunks])
+        extras = {"x0": xf[0], "xf_final": xf[-1], "out_of_domain": sum(ood.values()),
+                  **{f"out_of_domain_{side}": counts for side, counts in ood.items()}}
         if self.weighted:
             extras["weighted_integrals"] = np.concatenate(
                 [ch.weighted_integral for ch in chunks])
         if self.record_indices:
+            row_of = {k: j for j, k in enumerate(self.rows)}
+            x = np.concatenate([ch.recorded_x for ch in chunks], axis=1)
             extras["recorded_times"] = np.asarray(self.record_indices) * self.params.dt
             extras["recorded_x"] = x[[row_of[k] for k in self.record_indices]].T
         return MomentumEnsemble(
-            values=xf_final / self.params.span,
+            values=xf[-1] / self.params.span,
             path_indices=np.concatenate([ch.path_indices for ch in chunks]),
             provenance=self.provenance, extras=extras)
 
@@ -164,14 +165,19 @@ def plan(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
                          f"scenario.nu = {scenario.nu!r}")
     record_indices = set()
     for t in record_times or ():
-        k = round(t / params.dt)
+        k = round(t / params.dt) if math.isfinite(t) else -1
         if not (0 <= k <= params.steps):
             raise ValueError(f"record time {t} outside the simulated range")
+        # the rule SimParams applies to horizon and dt
+        if abs(k * params.dt - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"record time {t} is not a multiple of dt = {params.dt}")
         record_indices.add(k)
-    # the kernel keeps these rows of x and x_F: step 0, the horizon and the
-    # record times
+    # the kernel keeps these rows: step 0, the horizon and the record times
     rows = sorted({0, params.steps, *record_indices})
-    jobs = [functools.partial(_run_chunk, scenario, params, indices, rows, time_weights)
+    # P reads x_F alone; only the weighted integral and the records read x
+    walk_x = time_weights is not None or bool(record_indices)
+    jobs = [functools.partial(_run_chunk, scenario, params, indices, rows, time_weights,
+                              walk_x)
             for indices in chunk_indices(ensemble_size, workers)]
     provenance = {
         "scenario": scenario.kind,
@@ -198,11 +204,12 @@ def collect(scenario: Scenario, params: sde.SimParams, ensemble_size: int,
     ``workers`` processes; the chunking follows from ``workers`` (see
     ``chunk_indices``).  Each path is a pure function of (seed, path index),
     so the result is identical for any worker count or chunking.
-    ``time_weights`` adds a per-path running
-    trapezoid accumulator of sum w(t) x(t) dt (extras["weighted_integrals"]);
-    ``record_times`` stores interacting positions at those times
-    (extras["recorded_x"], one row per path).  This is ``plan``, ``run_jobs``
-    and ``EnsemblePlan.reduce`` for one ensemble.
+    The interacting path x is stepped only when one of two arguments reads
+    it: ``time_weights`` adds a per-path running trapezoid accumulator of
+    sum w(t) x(t) dt (extras["weighted_integrals"]); ``record_times``, each
+    a multiple of dt, stores x at those times (extras["recorded_x"], one
+    row per path).  This is ``plan``, ``run_jobs`` and
+    ``EnsemblePlan.reduce`` for one ensemble.
     """
     ensemble = plan(scenario, params, ensemble_size, time_weights, record_times, workers)
     return ensemble.reduce(run_jobs(ensemble.jobs, workers))

@@ -409,15 +409,15 @@ class EnsembleChunk:
     """Per-path outputs of one batched run (paths along the last axis)."""
 
     path_indices: np.ndarray
-    recorded_x: np.ndarray               # (len(record_indices), n_paths)
+    recorded_x: Optional[np.ndarray]     # (len(record_indices), n_paths)
     recorded_xf: np.ndarray
     weighted_integral: Optional[np.ndarray]
-    ood_interacting: np.ndarray
+    ood_interacting: Optional[np.ndarray]
     ood_free: np.ndarray
 
 
 def simulate_coupled_ensemble(
-    interacting: DriftField,
+    interacting: Optional[DriftField],
     free: DriftField,
     sampler: Callable,
     params: SimParams,
@@ -434,6 +434,10 @@ def simulate_coupled_ensemble(
     steps+1) switches on a running trapezoid accumulator of sum w(t) x(t) dt
     along the interacting path.  Noise comes from ``_noise_blocks``, in
     blocks of ``BLOCK`` steps per path.
+
+    With ``interacting`` None only x_F is stepped, bit for bit as in the
+    coupled run: ``recorded_x`` and ``ood_interacting`` are None, and
+    ``time_weights``, which integrates x, is refused.
     """
     idx = np.asarray(list(path_indices), dtype=int)
     n = len(idx)
@@ -447,18 +451,25 @@ def simulate_coupled_ensemble(
     if np.any(rec[1:] <= rec[:-1]):
         raise ValueError("record indices must be strictly increasing")
 
+    walk_x = interacting is not None
+    if time_weights is not None and not walk_x:
+        raise ValueError("time_weights: the weighted integral is along x, "
+                         "which is stepped only with an interacting drift")
+
     x0 = initial_positions(params.seed, idx, sampler)
 
     x = xf = x0
-    rec_x = np.empty((len(rec), n))
+    rec_x = np.empty((len(rec), n)) if walk_x else None
     rec_xf = np.empty((len(rec), n))
     # a cursor over the rows still to take: row j at step target (-1: none)
     takes = enumerate(map(int, rec))
     j, target = next(takes, (0, -1))
     if target == 0:
-        rec_x[0] = rec_xf[0] = x0
+        rec_xf[0] = x0
+        if walk_x:
+            rec_x[0] = x0
         j, target = next(takes, (0, -1))
-    ood_i = np.zeros(n, dtype=int)
+    ood_i = np.zeros(n, dtype=int) if walk_x else None
     ood_f = np.zeros(n, dtype=int)
 
     weights = None
@@ -472,15 +483,17 @@ def simulate_coupled_ensemble(
 
     for k, dw in _noise_blocks(params, idx):
         times = params.times(k, k + len(dw))
-        for knext, x, xf in zip(range(k + 1, k + len(dw) + 1),
-                                _euler(interacting, x, times, dt, dw, ood_i),
+        xs = (_euler(interacting, x, times, dt, dw, ood_i) if walk_x
+              else itertools.repeat(None))
+        for knext, x, xf in zip(range(k + 1, k + len(dw) + 1), xs,
                                 _euler(free, xf, times, dt, dw, ood_f)):
             if weights is not None:
                 f_new = weights[knext] * x
                 acc += 0.5 * dt * (f_prev + f_new)
                 f_prev = f_new
             if knext == target:
-                rec_x[j] = x
+                if walk_x:
+                    rec_x[j] = x
                 rec_xf[j] = xf
                 j, target = next(takes, (0, -1))
 

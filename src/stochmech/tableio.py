@@ -70,6 +70,9 @@ def read_table(path) -> dict:
         if not header:
             raise ValueError("empty table")
         names = header.split("\t")
+        repeated = [name for j, name in enumerate(names) if name in names[:j]]
+        if repeated:
+            raise ValueError(f"column {repeated[0]!r} is named twice in the header")
         rows = [line.rstrip("\r\n").split("\t") for line in fh if line.strip()]
     for number, row in enumerate(rows, start=1):
         if len(row) != len(names):

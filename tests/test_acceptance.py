@@ -52,7 +52,7 @@ def oscillator_ensemble():
 def free_ensemble():
     params = sde.SimParams(nu=NU, dt=DT, horizon=HORIZON, seed=43)
     return momentum.collect(Scenario(kind="free-gaussian", nu=NU), params, M,
-                            workers=WORKERS)
+                            record_times=[HORIZON], workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_criterion_7_two_route_momentum(oscillator_ensemble):
 
 
 def test_criterion_8_free_coupling_identity(free_ensemble):
-    finals_equal = np.array_equal(free_ensemble.extras["x_final"],
+    finals_equal = np.array_equal(free_ensemble.extras["recorded_x"][:, 0],
                                   free_ensemble.extras["xf_final"])
     # full trajectories on a stored sub-ensemble
     scenario = Scenario(kind="free-gaussian", nu=NU)

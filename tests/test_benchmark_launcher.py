@@ -39,6 +39,24 @@ def test_traced_run_counts_every_path_step(tmp_path):
     assert steps == 2 * PATHS * STEPS
 
 
+def test_traced_grid_run_never_evaluates_the_interacting_drift(tmp_path):
+    # a run reads P from x_F alone, so the kernel steps no x: the interacting
+    # drift is never evaluated, and the launcher still counts every path step
+    paths, steps = 20, 50
+    done = subprocess.run([sys.executable, str(LAUNCH), str(tmp_path), "--trace", "--",
+                           "run", "--scenario", "grid-custom", "--paths", str(paths),
+                           "--horizon", "0.05", "--workers", "1",
+                           "--out", str(tmp_path / "runs")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for trace in tmp_path.glob("trace.*.jsonl")
+               for line in trace.read_text().splitlines()]
+    ledger = {name for record in records for name in record["ledger"]}
+    assert "wavefunction.eval_free" in ledger
+    assert "wavefunction.eval_interacting" not in ledger
+    assert sum(record["counts"].get("sde.path_steps", 0) for record in records) == paths * steps
+
+
 def test_untraced_run_marks_the_first_step(tmp_path):
     done = launch(tmp_path)
     assert done.returncode == 0, done.stderr

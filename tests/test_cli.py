@@ -253,6 +253,9 @@ BAD_STATE_FILES = {
     "decreasing-grid": _state_table(GRID[::-1], PSI),
     "three-rows": _state_table(GRID[:3], PSI[:3]),
     "zero-amplitude": _state_table(GRID, np.zeros(16)),
+    # the last of two re_psi columns used to win: all 1.0, and Var(P) read 2186
+    "duplicate-column": "x\tre_psi\tim_psi\tre_psi\n"
+                        + "".join(f"{a}\t{b}\t0.0\t1.0\n" for a, b in zip(GRID, PSI)),
 }
 
 
@@ -1016,3 +1019,62 @@ def test_grid_custom_run_from_state_file(tmp_path):
     (run_dir,) = (tmp_path / "runs").iterdir()
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["sample_count"] == 10
+
+
+@pytest.fixture
+def interacting_calls(monkeypatch):
+    """Times at which the interacting drift of any scenario is evaluated."""
+    calls = []
+    drift_fields = Scenario.drift_fields
+
+    def spied(scenario):
+        interacting, free = drift_fields(scenario)
+
+        def evaluator(x, t):
+            calls.append(t)
+            return interacting.evaluator(x, t)
+
+        return dataclasses.replace(interacting, evaluator=evaluator), free
+
+    monkeypatch.setattr(Scenario, "drift_fields", spied)
+    return calls
+
+
+@pytest.mark.parametrize("reads, steps_x", [
+    ({}, False),
+    ({"record_times": [0.05]}, True),
+    ({"time_weights": np.ones(51)}, True),
+])
+def test_collect_steps_x_only_for_what_reads_it(interacting_calls, reads, steps_x):
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.05, seed=79)
+    scenario = Scenario(kind="oscillator-ground", nu=0.5)
+    momentum.collect(scenario, params, 10, **reads)
+    assert bool(interacting_calls) == steps_x
+
+
+@pytest.mark.parametrize("flags, steps_x", [((), False), (("--dump-paths",), True)])
+def test_run_steps_x_only_to_dump_it(tmp_path, interacting_calls, flags, steps_x):
+    assert run_main("run", "--paths", "10", "--horizon", "0.05", "--workers", "1",
+                    "--out", str(tmp_path), *flags) == 0
+    # --dump-paths steps x through the batch integrator, once per step
+    assert len(interacting_calls) == (50 if steps_x else 0)
+
+
+def test_summary_counts_out_of_domain_excursions_of_the_paths_stepped(tmp_path):
+    # on +-1.5 the free paths leave the grid; a run steps x_F alone
+    config = cli.ScenarioConfig(scenario="grid-custom", grid_extent=(-1.5, 1.5),
+                                grid_points=256, paths=20, horizon=0.1, seed=83, workers=1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config.to_dict(), "out": str(tmp_path / "runs")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_main("run", "--config", str(cfg_path)) == 0
+        scenario = config.scenario_obj()
+        interacting, free = scenario.drift_fields()
+        chunk = sde.simulate_coupled_ensemble(interacting, free, scenario.initial_sampler(),
+                                              config.sim_params(), range(20))
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert chunk.ood_free.sum() > 0
+    assert summary["out_of_domain_by_side"] == {"free": int(chunk.ood_free.sum())}
+    assert summary["out_of_domain_evaluations"] == int(chunk.ood_free.sum())

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stochmech import momentum, sde
+from stochmech import momentum, sde, verify
 from stochmech import wavefunction as wf
 from stochmech.errors import GridTooNarrowWarning
 from stochmech.scenarios import GaussianInitialSampler, GridInitialSampler, Scenario
@@ -252,20 +252,38 @@ def test_record_times_join_the_policy_checkpoints(monkeypatch):
     times = [0.0, 0.3, 0.5, 2.0]
     chunk_at_most(monkeypatch, 2)
     plain = momentum.collect(OSC, params, 5)
+    final = momentum.collect(OSC, params, 5, record_times=[2.0])
     recorded = momentum.collect(OSC, params, 5, record_times=times)
     assert momentum.plan(OSC, params, 5, record_times=times).rows == [0, 300, 500, 2000]
     assert np.array_equal(plain.values, recorded.values)
-    assert np.array_equal(plain.extras["x_final"], recorded.extras["x_final"])
+    assert np.array_equal(final.extras["recorded_x"][:, 0], recorded.extras["recorded_x"][:, 3])
     assert np.array_equal(recorded.extras["recorded_times"], times)
     assert np.array_equal(recorded.extras["recorded_x"][:, 0], recorded.extras["x0"])
-    assert np.array_equal(recorded.extras["recorded_x"][:, 3], recorded.extras["x_final"])
+
+
+def test_record_times_must_be_mesh_times():
+    # each used to be rounded to the nearest step: at dt 0.1 these three
+    # recorded x at t = 0, 0.1 and 0.2
+    coarse = sde.SimParams(nu=0.5, dt=0.1, horizon=0.3, seed=73)
+    for t in (0.04, 0.06, 0.25):
+        with pytest.raises(ValueError, match=f"record time {t} is not a multiple of dt"):
+            momentum.plan(OSC, coarse, 5, record_times=[0.0, t])
+    # round() used to raise on these, for inf an OverflowError
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"record time {t} outside the simulated range"):
+            momentum.plan(OSC, coarse, 5, record_times=[t])
+    # within 1e-9 max(1, t) of a mesh time, as SimParams asks of the horizon
+    fine = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=73)
+    assert momentum.plan(OSC, fine, 5, record_times=[0.3]).record_indices == [300]
+    request = verify._autocov_request(0.5, 1e-3, 5, 73)
+    assert momentum.plan(**request).record_indices == [1000, 1500, 2000, 2500, 3000]
 
 
 def test_free_scenario_coupling_is_identity():
     scenario = Scenario(kind="free-gaussian", nu=0.5)
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=1.0, seed=17)
-    ensemble = momentum.collect(scenario, params, 6)
-    assert np.array_equal(ensemble.extras["x_final"], ensemble.extras["xf_final"])
+    ensemble = momentum.collect(scenario, params, 6, record_times=[1.0])
+    assert np.array_equal(ensemble.extras["recorded_x"][:, 0], ensemble.extras["xf_final"])
 
 
 def test_target_density_is_nu_independent():
@@ -327,9 +345,9 @@ def test_free_scenario_variance_tracks_quantum_spreading():
     scenario = Scenario(kind="free-gaussian", nu=0.5)
     horizon, m = 2.0, 2000
     params = sde.SimParams(nu=0.5, dt=1e-3, horizon=horizon, seed=31)
-    ensemble = momentum.collect(scenario, params, m)
+    ensemble = momentum.collect(scenario, params, m, record_times=[horizon])
     expected = 0.5 * (1.0 + horizon ** 2)
-    sample_var = ensemble.extras["x_final"].var(ddof=1)
+    sample_var = ensemble.extras["recorded_x"][:, 0].var(ddof=1)
     assert abs(sample_var - expected) < 4.0 * expected * np.sqrt(2.0 / m)
 
 

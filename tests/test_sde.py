@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from stochmech import sde
 from stochmech import wavefunction as wf
-from stochmech.errors import NoConvergence
+from stochmech.errors import GridTooNarrowWarning, NoConvergence
 from stochmech.scenarios import GaussianInitialSampler, Scenario
 from stochmech.wavefunction import DriftField
 
@@ -454,6 +455,41 @@ def test_scalar_and_batch_count_out_of_domain_alike():
         pair = sde.co_integrate((narrow, narrow_free), path)
         assert path.ood_count == chunk.ood_interacting[i]
         assert pair.ood_count_free == chunk.ood_free[i]
+
+
+@pytest.mark.parametrize("kind, extent", [
+    ("oscillator-ground", None), ("free-gaussian", None),
+    ("grid-custom", (-20.0, 20.0)), ("grid-custom", (-1.5, 1.5))])
+def test_free_only_walk_is_the_coupled_walk_of_x_F(kind, extent):
+    # 300 steps cross the first 256-step block; the +-1.5 grid is narrow
+    # enough that x_F leaves it, so the out-of-domain counts are compared too
+    grid = {} if extent is None else {"grid_extent": extent, "grid_points": 256}
+    scenario = Scenario(kind=kind, nu=0.5, **grid)
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.3, seed=67)
+    assert params.steps > sde.BLOCK
+    interacting, free = scenario.drift_fields()
+    sampler = scenario.initial_sampler()
+    rows = np.arange(params.steps + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooNarrowWarning)
+        coupled = sde.simulate_coupled_ensemble(interacting, free, sampler, params, range(40),
+                                                record_indices=rows)
+        alone = sde.simulate_coupled_ensemble(None, free, sampler, params, range(40),
+                                              record_indices=rows)
+    assert alone.recorded_x is None and alone.ood_interacting is None
+    assert np.array_equal(alone.recorded_xf.view(np.int64), coupled.recorded_xf.view(np.int64))
+    assert np.array_equal(alone.ood_free, coupled.ood_free)
+    assert np.array_equal(alone.path_indices, coupled.path_indices)
+    if extent == (-1.5, 1.5):
+        assert alone.ood_free.sum() > 0
+
+
+def test_free_only_walk_refuses_time_weights():
+    params = sde.SimParams(nu=0.5, dt=1e-3, horizon=0.1, seed=71)
+    sampler = GaussianInitialSampler(sigma=math.sqrt(0.5))
+    with pytest.raises(ValueError, match="time_weights"):
+        sde.simulate_coupled_ensemble(None, free_drift(), sampler, params, range(3),
+                                      time_weights=np.ones(params.steps + 1))
 
 
 @pytest.mark.parametrize("bad", [-1, 101, 5000], ids=lambda bad: f"{bad}-record_indices")

@@ -1,5 +1,7 @@
 """Monte Carlo momentum sampling for diffusion-process quantum mechanics."""
 
+import os
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -10,13 +12,26 @@ from .errors import (
     StochmechError,
     TooFewSamples,
 )
-from .sde import SimParams
-from .scenarios import Scenario
-from .momentum import (
-    MomentumEnsemble,
-    PathSimulationError,
-    collect,
-)
+
+# The package makes no BLAS call, so the --workers pool is its only
+# parallelism: numpy loads its OpenBLAS with one thread unless the user set a
+# thread count.  OpenBLAS reads the variable once, at load, and it is deleted
+# again so that no process the user starts inherits it.
+_ONE_BLAS_THREAD = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS"} & os.environ.keys()
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .sde import SimParams
+    from .scenarios import Scenario
+    from .momentum import (
+        MomentumEnsemble,
+        PathSimulationError,
+        collect,
+    )
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "ConfigError", "GridTooNarrowWarning", "NoConvergence", "NodeEncountered",

@@ -129,7 +129,10 @@ def euler_covariance(horizon: float, nu: float, dt: float) -> np.ndarray:
     x0 = x_F0 ~ N(0, 1/2).  The momentum P = x_F(T) / T; its variance
     tends to (1 + 1/T^2) / 2 as dt -> 0."""
     rows, var = _euler_rows(horizon, nu, dt)
-    return (rows * var) @ rows.T
+    # einsum, not BLAS, so that the last bits do not follow the BLAS thread
+    # count; the product rows_i rows_j var is the same for (i, j) and (j, i),
+    # so the matrix is symmetric bit for bit
+    return np.einsum("ik,jk,k->ij", rows, rows, var)
 
 
 def difference_bound(horizon: float, nu: float, dt: float) -> float:
@@ -138,4 +141,4 @@ def difference_bound(horizon: float, nu: float, dt: float) -> float:
     Euler scheme at step dt."""
     rows, var = _euler_rows(horizon, nu, dt)
     diff = rows[0] - rows[2] / horizon
-    return 3.0 * math.sqrt(float(var @ (diff * diff)))
+    return 3.0 * math.sqrt(float(np.einsum("k,k->", var, diff * diff)))

@@ -89,7 +89,10 @@ class WaveState:
         if not (np.isfinite(x).all() and np.isfinite(amplitude).all()):
             raise ValueError("grid and amplitude must be finite")
         h = x[1] - x[0]
-        if not (h > 0 and np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12)):
+        # each difference carries the rounding of two coordinates, and so
+        # does h: a few ulps of the largest |x| (1.5e-11 at 1e5)
+        atol = max(1e-12, 8.0 * float(np.spacing(np.abs(x).max())))
+        if not (h > 0 and np.allclose(np.diff(x), h, rtol=1e-9, atol=atol)):
             raise ValueError("grid spacing must be uniform and positive")
         norm = math.sqrt(h * float(np.sum(np.abs(amplitude) ** 2)))
         if norm == 0.0:

@@ -240,6 +240,18 @@ def _state_table(x, re_psi, im_psi=None):
     return "x\tre_psi\tim_psi\n" + "".join(f"{a}\t{b}\t{c}\n" for a, b, c in zip(x, re_psi, im_psi))
 
 
+def _far_grid(center, stretch=0.0):
+    """np.linspace(center - 20, center + 20, 4096), with interval 2048
+    longer by ``stretch`` times the spacing."""
+    x = np.linspace(center - 20.0, center + 20.0, 4096)
+    x[2049:] += stretch * (x[1] - x[0])
+    return x
+
+
+# the ground state on the far grid, from offsets that are exact
+FAR_PSI = np.exp(-0.5 * np.linspace(-20.0, 20.0, 4096) ** 2)
+
+
 GRID = np.linspace(-4.0, 4.0, 16)
 PSI = np.exp(-0.5 * GRID * GRID)
 BAD_STATE_FILES = {
@@ -256,6 +268,9 @@ BAD_STATE_FILES = {
     # the last of two re_psi columns used to win: all 1.0, and Var(P) read 2186
     "duplicate-column": "x\tre_psi\tim_psi\tre_psi\n"
                         + "".join(f"{a}\t{b}\t0.0\t1.0\n" for a, b in zip(GRID, PSI)),
+    # uniform but for one interval longer by 1e-6 h, away from the origin
+    **{f"long-interval-at-{center:g}": _state_table(_far_grid(center, 1e-6), FAR_PSI)
+       for center in (1e5, 1e6)},
 }
 
 
@@ -276,6 +291,19 @@ def test_bad_state_file_is_a_config_error(tmp_path, capsys, command, case):
     assert captured.out == ""
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("center", [1e5, 1e6])
+def test_uniform_state_file_far_from_the_origin_runs(tmp_path, center):
+    # its coordinates round to an ulp of 1e5 (1.5e-11) or 1e6, which an
+    # absolute tolerance of 1e-12 refused as a non-uniform grid
+    state_path = tmp_path / "state.tsv"
+    state_path.write_text(_state_table(_far_grid(center), FAR_PSI))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"scenario": "grid-custom", "state_file": str(state_path),
+                                    "paths": 10, "horizon": 0.1, "workers": 1,
+                                    "out": str(tmp_path / "runs")}))
+    assert run_main("run", "--config", str(cfg_path)) == 0
 
 def test_invalid_paths_leaves_no_artifacts(tmp_path):
     out = tmp_path / "runs"

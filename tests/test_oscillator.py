@@ -1,7 +1,11 @@
 """Closed-form oscillator ground truth against independent quadrature and MC."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,29 @@ def test_euler_covariance_holds_no_python_list_of_its_steps():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 2 ** 20, peak
+
+
+def _exact_law_under_blas_threads(threads: int) -> str:
+    """repr of difference_bound(10, ...) and euler_covariance(50, ...) in a
+    fresh interpreter whose numpy loaded ``threads`` BLAS threads."""
+    probe = ("from stochmech import oscillator as osc; "
+             "print(repr(osc.difference_bound(10.0, 0.5, 1e-3)), "
+             "repr(osc.euler_covariance(50.0, 0.5, 1e-3).tolist()))")
+    src = str(Path(osc.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+def test_exact_euler_law_does_not_depend_on_the_blas_thread_count():
+    # through BLAS the bound read 0.3147515622024596 under two threads and
+    # 0.31475156220245953 under one
+    assert _exact_law_under_blas_threads(1) == _exact_law_under_blas_threads(2)
+
+
+def test_euler_covariance_is_symmetric_bit_for_bit():
+    cov = osc.euler_covariance(50.0, NU, 1e-3)
+    assert np.array_equal(cov, cov.T)
 
 
 def test_momentum_variance_converges_at_order_dt():

@@ -1,15 +1,18 @@
 """Source hygiene: every imported name is read, every ``ConfigError`` message
 names its field, the oscillator closed forms import nothing from the package,
-and ``stochmech.cli`` loads no process-pool machinery until a pool starts, nor
-the oracle modules until ``verify`` runs."""
+``stochmech.cli`` loads no process-pool machinery until a pool starts, nor
+the oracle modules until ``verify`` runs, and the package makes no BLAS call
+and loads numpy with one BLAS thread."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochmech
@@ -132,3 +135,74 @@ def test_only_sde_calls_the_single_path_api():
     callers = {path.name: sorted(SCALAR_API & called_names(path)) for path in SOURCES
                if path.parent.name == "stochmech" and path.name != "sde.py"}
     assert {name: called for name, called in callers.items() if called} == {}
+
+
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+
+
+def blas_uses(path: Path) -> list:
+    """Each ``@``, BLAS-backed numpy name (``np.dot``, ``x.dot``, ``np.linalg``
+    and the like) and ``einsum(..., optimize=...)`` in ``path``, by line."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append(f"@ (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            uses.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            uses += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                     if alias.name in BLAS_NAMES or "linalg" in node.module]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and any(kw.arg == "optimize" for kw in node.keywords)):
+            uses.append(f"einsum optimize (line {node.lineno})")
+    return uses
+
+
+def test_the_package_makes_no_blas_call():
+    # numpy loads with one BLAS thread (stochmech/__init__), which costs
+    # nothing only while no result depends on BLAS; its sums then also keep
+    # their last bits under any BLAS thread count a user sets
+    uses = {path.name: blas_uses(path) for path in SOURCES if path.parent.name == "stochmech"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def threads_after_import(**env) -> list:
+    """[threads, the three thread variables] of a fresh interpreter after
+    ``import stochmech`` and a small matrix product, with only ``env`` of
+    the three variables set."""
+    probe = ("import json, os, stochmech, numpy; numpy.ones((300, 300)) @ numpy.ones((300, 300)); "
+             "print(json.dumps([len(os.listdir('/proc/self/task')), "
+             f"[os.environ.get(k) for k in {BLAS_THREAD_VARIABLES}]]))")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    src = str(Path(stochmech.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**base, **env, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+needs_openblas_threads = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or _cores() < 2
+    or "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"],
+    reason="needs /proc, two cores and numpy on OpenBLAS")
+
+
+@needs_openblas_threads
+def test_importing_stochmech_loads_one_blas_thread_and_leaves_no_variable():
+    # OpenBLAS would start a thread per core; the --workers pool is the only
+    # parallelism, and processes the user starts inherit nothing
+    assert threads_after_import() == [1, [None, None, None]]
+
+
+@needs_openblas_threads
+@pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+def test_a_users_blas_thread_count_wins(variable):
+    expected = [None if k != variable else "2" for k in BLAS_THREAD_VARIABLES]
+    assert threads_after_import(**{variable: "2"}) == [2, expected]

@@ -98,6 +98,20 @@ def test_gaussian_drifts_keep_their_float_expressions_bit_for_bit():
     assert np.array_equal(spreading.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("center", [1e5, 1e6])
+def test_uniform_grid_far_from_the_origin_loads(center):
+    # the coordinates round to an ulp of |x| (1.5e-11 at 1e5), which an
+    # absolute tolerance of 1e-12 used to refuse as a non-uniform grid
+    x = np.linspace(center - 20.0, center + 20.0, 4096)
+    offsets = np.linspace(-20.0, 20.0, 4096)
+    state = wf.WaveState.from_grid(x, np.exp(-0.5 * offsets * offsets))
+    assert np.array_equal(state.grid, x)
+    longer = x.copy()
+    longer[2049:] += 1e-6 * (x[1] - x[0])
+    with pytest.raises(ValueError, match="grid spacing must be uniform"):
+        wf.WaveState.from_grid(longer, state.amplitude)
+
+
 def test_constant_state_has_zero_drift():
     x = np.linspace(0.0, 1.0, 64)
     state = wf.WaveState.from_grid(x, np.ones_like(x))

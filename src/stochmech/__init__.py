@@ -13,10 +13,10 @@ from .errors import (
     TooFewSamples,
 )
 
-# The package makes no BLAS call, so the --workers pool is its only
-# parallelism: numpy loads its OpenBLAS with one thread unless the user set a
-# thread count.  OpenBLAS reads the variable once, at load, and it is deleted
-# again so that no process the user starts inherits it.
+# The package makes no BLAS call, so numpy loads OpenBLAS with one thread
+# unless the user set a count: the --workers pool is the only parallelism.
+# OpenBLAS reads the variable once, at load; no process the user starts
+# inherits it.
 _ONE_BLAS_THREAD = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                         "OMP_NUM_THREADS"} & os.environ.keys()
 if _ONE_BLAS_THREAD:
@@ -24,11 +24,7 @@ if _ONE_BLAS_THREAD:
 try:
     from .sde import SimParams
     from .scenarios import Scenario
-    from .momentum import (
-        MomentumEnsemble,
-        PathSimulationError,
-        collect,
-    )
+    from .momentum import MomentumEnsemble, PathSimulationError, collect
 finally:
     if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]

@@ -251,7 +251,6 @@ def _far_grid(center, stretch=0.0):
 # the ground state on the far grid, from offsets that are exact
 FAR_PSI = np.exp(-0.5 * np.linspace(-20.0, 20.0, 4096) ** 2)
 
-
 GRID = np.linspace(-4.0, 4.0, 16)
 PSI = np.exp(-0.5 * GRID * GRID)
 BAD_STATE_FILES = {
@@ -292,7 +291,6 @@ def test_bad_state_file_is_a_config_error(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
-
 @pytest.mark.parametrize("center", [1e5, 1e6])
 def test_uniform_state_file_far_from_the_origin_runs(tmp_path, center):
     # its coordinates round to an ulp of 1e5 (1.5e-11) or 1e6, which an
@@ -304,6 +302,7 @@ def test_uniform_state_file_far_from_the_origin_runs(tmp_path, center):
                                     "paths": 10, "horizon": 0.1, "workers": 1,
                                     "out": str(tmp_path / "runs")}))
     assert run_main("run", "--config", str(cfg_path)) == 0
+
 
 def test_invalid_paths_leaves_no_artifacts(tmp_path):
     out = tmp_path / "runs"

@@ -184,12 +184,8 @@ def threads_after_import(**env) -> list:
     return json.loads(out.stdout)
 
 
-def _cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 needs_openblas_threads = pytest.mark.skipif(
-    not Path("/proc/self/task").is_dir() or _cores() < 2
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2
     or "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"],
     reason="needs /proc, two cores and numpy on OpenBLAS")
 

@@ -1,5 +1,6 @@
 """Monte Carlo momentum sampling for diffusion-process quantum mechanics."""
 
+import gc
 import os
 
 __version__ = "0.1.0"
@@ -16,16 +17,22 @@ from .errors import (
 # The package makes no BLAS call, so numpy loads OpenBLAS with one thread
 # unless the user set a count: the --workers pool is the only parallelism.
 # OpenBLAS reads the variable once, at load; no process the user starts
-# inherits it.
+# inherits it.  The cyclic collector, which ran 34 times over the objects
+# numpy and the package create at load and that live as long as the process,
+# pauses while they load; it resumes after, unless the caller had paused it.
+_COLLECTING = gc.isenabled()
 _ONE_BLAS_THREAD = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                         "OMP_NUM_THREADS"} & os.environ.keys()
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
+    gc.disable()
     from .sde import SimParams
     from .scenarios import Scenario
     from .momentum import MomentumEnsemble, PathSimulationError, collect
 finally:
+    if _COLLECTING:
+        gc.enable()
     if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
 

@@ -12,7 +12,9 @@ byte-stable under re-runs of the same configuration for any worker count.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -400,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit the interpreter collects the cycles of every module it tears
+    # down, most of a run's teardown; freezing what is alive then skips them.
+    # Refcount cleanup, stream flushing and other atexit handlers still run.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -689,6 +689,51 @@ def test_density_out_onto_a_file_is_a_config_error(tmp_path, capsys):
     assert afile.read_text() == ""
 
 
+def test_density_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    # as in `stochmech density | head -1`: the reader leaves after one line,
+    # and the process exits as one killed by SIGPIPE, with nothing on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "stochmech", "density"],
+                                stdout=subprocess.PIPE, stderr=err,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"p\trho\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
+# ---------------------------------------------------------------------------
+# process exit
+# ---------------------------------------------------------------------------
+
+def freeze_count_at_exit(code: str) -> int:
+    """``gc.get_freeze_count()`` in a fresh interpreter that runs ``code``,
+    read by an atexit hook registered first, so that it runs after every
+    handler ``code`` registers."""
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+             + code)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    return int(proc.stderr)
+
+
+def test_a_cli_process_freezes_its_objects_at_exit(tmp_path):
+    # the interpreter's exit-time collections then skip every object alive
+    # when the CLI returns
+    code = f"from stochmech import cli\ncli.main(['density', '--out', {str(tmp_path)!r}])"
+    assert freeze_count_at_exit(code) > 0
+
+
+def test_a_library_process_exits_as_python_does():
+    code = ("import stochmech\n"
+            "stochmech.collect(stochmech.Scenario('oscillator-ground', 0.5),\n"
+            "                  stochmech.SimParams(nu=0.5, dt=0.01, horizon=0.1), 20)")
+    assert freeze_count_at_exit(code) == 0
+
+
 # ---------------------------------------------------------------------------
 # verify battery (reduced scale; acceptance runs the stated sizes)
 # ---------------------------------------------------------------------------

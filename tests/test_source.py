@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is read, every ``ConfigError`` message
 names its field, the oscillator closed forms import nothing from the package,
 ``stochmech.cli`` loads no process-pool machinery until a pool starts, nor
-the oracle modules until ``verify`` runs, and the package makes no BLAS call
-and loads numpy with one BLAS thread."""
+the oracle modules until ``verify`` runs, the package makes no BLAS call
+and loads numpy with one BLAS thread, and only the package's edges touch the
+garbage collector."""
 
 import ast
 import json
@@ -202,3 +203,39 @@ def test_importing_stochmech_loads_one_blas_thread_and_leaves_no_variable():
 def test_a_users_blas_thread_count_wins(variable):
     expected = [None if k != variable else "2" for k in BLAS_THREAD_VARIABLES]
     assert threads_after_import(**{variable: "2"}) == [2, expected]
+
+
+def collector_after_import(before: str = "") -> list:
+    """[collections, ``gc.isenabled()``] of a fresh interpreter that runs
+    ``before`` and then ``import stochmech``, the collections counted by
+    ``gc.callbacks`` during the import."""
+    probe = ("import gc, json\n" + before +
+             "starts = []\n"
+             "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
+             "import stochmech\n"
+             "gc.callbacks.clear()\n"
+             "print(json.dumps([sum(starts), gc.isenabled()]))")
+    src = str(Path(stochmech.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_importing_stochmech_pauses_the_collector():
+    # numpy and the package create objects that live as long as the process;
+    # collecting them as they load (34 times) freed nothing worth its time
+    collections, enabled = collector_after_import()
+    assert collections <= 1
+    assert enabled
+
+
+def test_a_callers_paused_collector_stays_paused():
+    assert collector_after_import("gc.disable()\n") == [0, False]
+
+
+def test_only_the_package_edges_use_the_collector():
+    # the import pauses it and the CLI freezes it at exit; no kernel, drift
+    # or pool code pauses or freezes it mid-run
+    users = [path.name for path in SOURCES if path.parent.name == "stochmech"
+             and "gc" in imported_modules(path)]
+    assert users == ["__init__.py", "cli.py"]

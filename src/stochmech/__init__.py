@@ -17,9 +17,13 @@ from .errors import (
 # The package makes no BLAS call, so numpy loads OpenBLAS with one thread
 # unless the user set a count: the --workers pool is the only parallelism.
 # OpenBLAS reads the variable once, at load; no process the user starts
-# inherits it.  The cyclic collector, which ran 34 times over the objects
-# numpy and the package create at load and that live as long as the process,
-# pauses while they load; it resumes after, unless the caller had paused it.
+# inherits it.
+#
+# What numpy and the package create at load lives as long as the process.
+# The cyclic collector, which ran 34 times over it, pauses while they load
+# and resumes after, unless the caller had paused it.  What loaded goes
+# straight to the oldest generation, so that no young collection traverses
+# it, unless the caller froze objects of their own: those stay frozen.
 _COLLECTING = gc.isenabled()
 _ONE_BLAS_THREAD = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                         "OMP_NUM_THREADS"} & os.environ.keys()
@@ -31,6 +35,9 @@ try:
     from .scenarios import Scenario
     from .momentum import MomentumEnsemble, PathSimulationError, collect
 finally:
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
     if _COLLECTING:
         gc.enable()
     if _ONE_BLAS_THREAD:

@@ -6,6 +6,7 @@ and loads numpy with one BLAS thread, and only the package's edges touch the
 garbage collector."""
 
 import ast
+import gc
 import json
 import os
 import re
@@ -206,15 +207,18 @@ def test_a_users_blas_thread_count_wins(variable):
 
 
 def collector_after_import(before: str = "") -> list:
-    """[collections, ``gc.isenabled()``] of a fresh interpreter that runs
-    ``before`` and then ``import stochmech``, the collections counted by
-    ``gc.callbacks`` during the import."""
+    """[collections, ``gc.isenabled()``, objects in the two young generations,
+    ``gc.get_freeze_count()``] of a fresh interpreter that runs ``before`` and
+    then ``import stochmech``, the collections counted by ``gc.callbacks``
+    during the import."""
     probe = ("import gc, json\n" + before +
              "starts = []\n"
              "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
              "import stochmech\n"
              "gc.callbacks.clear()\n"
-             "print(json.dumps([sum(starts), gc.isenabled()]))")
+             "print(json.dumps([sum(starts), gc.isenabled(),\n"
+             "                  len(gc.get_objects(0)) + len(gc.get_objects(1)),\n"
+             "                  gc.get_freeze_count()]))")
     src = str(Path(stochmech.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -223,14 +227,25 @@ def collector_after_import(before: str = "") -> list:
 
 def test_importing_stochmech_pauses_the_collector():
     # numpy and the package create objects that live as long as the process;
-    # collecting them as they load (34 times) freed nothing worth its time
-    collections, enabled = collector_after_import()
+    # collecting them as they load (34 times) freed nothing worth its time,
+    # and leaving them young made the first collection after the import
+    # traverse them all
+    collections, enabled, young, frozen = collector_after_import()
     assert collections <= 1
     assert enabled
+    assert young < gc.get_threshold()[0]
+    assert frozen == 0
 
 
 def test_a_callers_paused_collector_stays_paused():
-    assert collector_after_import("gc.disable()\n") == [0, False]
+    assert collector_after_import("gc.disable()\n")[:2] == [0, False]
+
+
+def test_a_callers_frozen_objects_stay_frozen():
+    # promoting what loaded unfreezes every frozen object, so it is left out
+    collections, enabled, young, frozen = collector_after_import("gc.freeze()\n")
+    assert enabled
+    assert frozen > 0
 
 
 def test_only_the_package_edges_use_the_collector():

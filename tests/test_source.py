@@ -243,7 +243,7 @@ def test_a_callers_paused_collector_stays_paused():
 
 def test_a_callers_frozen_objects_stay_frozen():
     # promoting what loaded unfreezes every frozen object, so it is left out
-    collections, enabled, young, frozen = collector_after_import("gc.freeze()\n")
+    _, enabled, _, frozen = collector_after_import("gc.freeze()\n")
     assert enabled
     assert frozen > 0
 

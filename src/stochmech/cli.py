@@ -198,8 +198,9 @@ def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
     """One t/x/x_F/dW table per path, written as the paths are stepped:
     DUMP_BATCH paths at a time walk the noise blocks of ``sde._noise_blocks``
     through the batch integrators, and each block's rows go to the paths'
-    tables before the next block is drawn.  dW is the path's own increment
-    stream; the last block also writes the final row, whose dW is 0."""
+    tables before the next block is drawn.  A block's times are formatted
+    once for the batch.  dW is the path's own increment stream; the last
+    block also writes the final row, whose dW is 0."""
     scenario = config.scenario_obj()
     interacting, free = scenario.drift_fields()
     sampler = scenario.initial_sampler()
@@ -214,11 +215,12 @@ def _dump_paths(run_dir: str, config: ScenarioConfig) -> None:
             xs = sde.integrate_batch(interacting, x, params, dw, start=k)
             xfs = sde.co_integrate_batch(free, xf, params, dw, start=k)
             pad = [0.0] if k + m == params.steps else []
-            t = params.times(k, k + m + len(pad))
-            write = tableio.append_rows if k else tableio.write_table
+            rows = m + len(pad)
+            block = tableio.SharedFirstColumn(("t", "x", "x_F", "dW"),
+                                              params.times(k, k + rows))
             for j, table in enumerate(tables):
-                write(table, {"t": t, "x": xs[:len(t), j], "x_F": xfs[:len(t), j],
-                              "dW": np.concatenate((dw[:, j], pad))})
+                block.write(table, (xs[:rows, j], xfs[:rows, j],
+                                    np.concatenate((dw[:, j], pad))), header=not k)
             x, xf = xs[m], xfs[m]
 
 

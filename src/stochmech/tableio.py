@@ -28,14 +28,18 @@ def format_rows(columns) -> Iterator[str]:
     arrays = [np.asarray(col) for col in columns]
     row_fmt = "\t".join("%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"
                         for arr in arrays) + "\n"
-    width = len(arrays)
     for start in range(0, len(arrays[0]), WRITE_CHUNK_ROWS):
         parts = [arr[start:start + WRITE_CHUNK_ROWS].tolist() for arr in arrays]
-        rows = len(parts[0])
-        flat = [None] * (rows * width)
-        for j, part in enumerate(parts):
-            flat[j::width] = part
-        yield (row_fmt * rows) % tuple(flat)
+        yield (row_fmt * len(parts[0])) % _row_major(parts)
+
+
+def _row_major(parts: list) -> tuple:
+    """The values of equal-length lists, row by row."""
+    width = len(parts)
+    flat = [None] * sum(map(len, parts))
+    for j, part in enumerate(parts):
+        flat[j::width] = part
+    return tuple(flat)
 
 
 def write_table(path, columns: dict) -> None:
@@ -46,12 +50,32 @@ def write_table(path, columns: dict) -> None:
         fh.writelines(format_rows(arrays))
 
 
-def append_rows(path, columns: dict) -> None:
-    """Append rows to a table that :func:`write_table` began; ``columns``
-    names the table's columns in header order."""
-    arrays = _arrays(columns)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.writelines(format_rows(arrays))
+class SharedFirstColumn:
+    """One block of rows of several float tables that share their first
+    column, such as the times of a block of dumped paths.  That column is
+    formatted once, into a row template, and each table formats only its own
+    columns into it; the bytes are those :func:`write_table` writes."""
+
+    def __init__(self, names, first):
+        values = np.asarray(first).tolist()
+        self.names, self.rows = tuple(names), len(values)
+        row = "%.17g" + "\t%%.17g" * (len(self.names) - 1) + "\n"
+        self.template = (row * self.rows) % tuple(values)
+
+    def write(self, path, columns, header: bool) -> None:
+        """Write one table's block: ``columns`` are its columns after the
+        first, in ``names`` order, each as long as the shared one.  With
+        ``header``, the block begins a new table under a line of ``names``;
+        without, it is appended to a table begun so."""
+        parts = [np.asarray(col).tolist() for col in columns]
+        if len(parts) != len(self.names) - 1 or any(len(p) != self.rows for p in parts):
+            raise ValueError(f"a block of {self.names[1:]} needs {len(self.names) - 1} "
+                             f"columns of {self.rows} rows")
+        text = self.template % _row_major(parts)
+        with open(path, "w" if header else "a", encoding="utf-8") as fh:
+            if header:
+                fh.write("\t".join(self.names) + "\n")
+            fh.write(text)
 
 
 def _arrays(columns: dict) -> list:

@@ -657,6 +657,23 @@ def test_dumped_paths_match_single_path_integration(small_run):
         assert np.array_equal(cols["dW"], np.append(path.increments, 0.0))
 
 
+@pytest.mark.parametrize("horizon, steps", [(0.512, 2 * sde.BLOCK), (0.1, 100)])
+def test_dump_tables_end_at_the_block_edges(tmp_path, horizon, steps):
+    # the pinned digests end in a partial block; here the last block is
+    # full, or the only block is shorter than one
+    assert run_main("run", "--paths", "10", "--horizon", str(horizon), "--dt", "0.001",
+                    "--seed", "5", "--workers", "1", "--dump-paths",
+                    "--out", str(tmp_path)) == 0
+    (run_dir,) = tmp_path.iterdir()
+    dumps = sorted((run_dir / "paths").iterdir())
+    assert len(dumps) == 10
+    for dump in dumps:
+        cols = tableio.read_table(dump)
+        assert len(cols["t"]) == steps + 1
+        assert np.array_equal(cols["t"], np.arange(steps + 1) * 0.001)
+        assert cols["dW"][-1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # density subcommand
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 names its field, the oscillator closed forms import nothing from the package,
 ``stochmech.cli`` loads no process-pool machinery until a pool starts, nor
 the oracle modules until ``verify`` runs, the package makes no BLAS call
-and loads numpy with one BLAS thread, and only the package's edges touch the
-garbage collector."""
+and loads numpy with one BLAS thread, only the package's edges touch the
+garbage collector, and only ``tableio`` writes the float text format."""
 
 import ast
 import gc
@@ -254,3 +254,11 @@ def test_only_the_package_edges_use_the_collector():
     users = [path.name for path in SOURCES if path.parent.name == "stochmech"
              and "gc" in imported_modules(path)]
     assert users == ["__init__.py", "cli.py"]
+
+
+def test_only_tableio_writes_the_float_text_format():
+    # tableio owns the bytes of every table; the dump's times formatted
+    # anywhere else would give the format a second owner
+    writers = [path.name for path in SOURCES if path.parent.name == "stochmech"
+               and "%.17g" in path.read_text(encoding="utf-8")]
+    assert writers == ["tableio.py"]

@@ -1,5 +1,5 @@
-"""Table writer: the chunked formatter and the block-appending writer against
-a per-value reference."""
+"""Table writer: the chunked formatter and the shared-first-column block
+writer against a per-value reference."""
 
 import numpy as np
 import pytest
@@ -72,13 +72,22 @@ def test_format_rows_concatenates_to_table_body():
 def test_unequal_columns_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="'b' has length 2"):
         tableio.write_table(tmp_path / "t.tsv", {"a": np.zeros(3), "b": np.zeros(2)})
+    block = tableio.SharedFirstColumn(("t", "a", "b"), np.arange(3.0))
+    for columns in ([np.zeros(3), np.zeros(2)], [np.zeros(3)], [np.zeros(2)] * 3):
+        with pytest.raises(ValueError, match="2 columns of 3 rows"):
+            block.write(tmp_path / "block.tsv", columns, header=True)
+    assert not (tmp_path / "block.tsv").exists()
 
 
 def test_appended_blocks_equal_one_table(tmp_path):
+    # blocks whose first column several tables share, as the path dump
+    # writes them: strided columns, special floats and an empty block
     rng = np.random.default_rng(3)
-    columns = {"k": np.arange(50), "x": rng.standard_normal(50)}
+    xy = rng.standard_normal((50, 2))
+    xy[[3, 9, 20, 49], 0] = [np.nan, np.inf, -np.inf, -0.0]
+    columns = {"t": np.arange(50) * 1e-3, "x": xy[:, 0], "y": xy[:, 1]}
     path = tmp_path / "blocks.tsv"
-    for rows, write in ((slice(0, 7), tableio.write_table), (slice(7, 7), tableio.append_rows),
-                        (slice(7, 50), tableio.append_rows)):
-        write(path, {name: col[rows] for name, col in columns.items()})
-    assert path.read_bytes() == reference_table(columns)
+    for rows in (slice(0, 7), slice(7, 7), slice(7, 50)):
+        block = tableio.SharedFirstColumn(columns, columns["t"][rows])
+        block.write(path, (columns["x"][rows], columns["y"][rows]), header=not rows.start)
+    assert path.read_bytes() == reference_table(columns) == written(tmp_path, columns)
